@@ -240,7 +240,7 @@ inline SynthOutcome runBackendRow(const Backend &B, const SynthRequest &Req,
 /// "peak_bytes",
 /// "resident_peak_bytes", "compressed_bytes", "spilled_bytes",
 /// "decode_nanos", "found", "length", "timed_out", "memory_limited",
-/// "syntactic_pruned", "semantic_pruned", "symmetry_merged"} plus build
+/// "syntactic_pruned", "symmetry_merged"} plus build
 /// attribution ("git_sha", "compiler", "batch_simd", "canon_simd") and —
 /// when SearchOptions::ProfilePipeline was on — the per-stage "*_ns"
 /// counters. peak_bytes is resident plus spilled; resident_peak_bytes
@@ -261,7 +261,7 @@ public:
                        R.Stats.DecodeNanos, R.Found,
                        R.Found ? R.OptimalLength : 0, R.Stats.TimedOut,
                        R.Stats.MemoryLimited, R.Stats.SyntacticPruned,
-                       R.Stats.SemanticPruned, R.Stats.SymmetryMerged,
+                       R.Stats.SymmetryMerged,
                        R.Stats.ApplyNanos, R.Stats.CanonNanos,
                        R.Stats.ViabilityNanos, R.Stats.MergeNanos});
   }
@@ -294,8 +294,7 @@ public:
                    "\"decode_nanos\": %llu, "
                    "\"found\": %s, \"length\": %u, "
                    "\"timed_out\": %s, \"memory_limited\": %s, "
-                   "\"syntactic_pruned\": %zu, \"semantic_pruned\": %zu, "
-                   "\"symmetry_merged\": %zu, "
+                   "\"syntactic_pruned\": %zu, \"symmetry_merged\": %zu, "
                    "\"git_sha\": \"%s\", \"compiler\": \"%s\", "
                    "\"batch_simd\": %s, \"canon_simd\": %s",
                    jsonEscaped(R.Config).c_str(),
@@ -306,7 +305,7 @@ public:
                    R.Found ? "true" : "false", R.Length,
                    R.TimedOut ? "true" : "false",
                    R.MemoryLimited ? "true" : "false", R.SynPruned,
-                   R.SemPruned, R.SymMerged, jsonEscaped(SKS_GIT_SHA).c_str(),
+                   R.SymMerged, jsonEscaped(SKS_GIT_SHA).c_str(),
                    jsonEscaped(compilerVersionString()).c_str(),
                    batchApplyUsesSimd() ? "true" : "false",
                    canonicalizeUsesSimd() ? "true" : "false");
@@ -344,7 +343,6 @@ private:
     bool TimedOut;
     bool MemoryLimited;
     size_t SynPruned;
-    size_t SemPruned;
     size_t SymMerged;
     uint64_t ApplyNs, CanonNs, ViabilityNs, MergeNs;
     uint64_t ValidateNs = 0;

@@ -47,7 +47,6 @@ int main(int argc, char **argv) {
     Opts.Heuristic = H;
     Opts.UseViability = false;
     Opts.UseActionFilter = false;
-    Opts.UseDistanceTable = true;
     Opts.MaxLength = Bound;
     Opts.TimeoutSeconds = Timeout;
     Opts.MaxStates = static_cast<size_t>(envInt("SKS_MAX_STATES", 2500000));
@@ -84,9 +83,6 @@ int main(int argc, char **argv) {
           {"(II) := (I) + perm count, opt. instr, viability", "690 ms", Opts});
       Opts.Cut = CutConfig::mult(1.0);
       Rows.push_back({"(III) := (II) + cut 1", "97 ms", Opts});
-      Opts.SemanticPrune = true;
-      Rows.push_back({"smoke: (III) + semantic prune", "-", Opts});
-      Opts.SemanticPrune = false;
       Opts.SymmetryReduce = true;
       Rows.push_back({"smoke: (III) + symmetry", "-", Opts});
     }
@@ -140,33 +136,16 @@ int main(int argc, char **argv) {
     Opts.UseViability = true;
     Rows.push_back(
         {"(II) := (I) + perm count, opt. instr, viability", "690 ms", Opts});
-    Opts.SyntacticPrune = true;
-    Rows.push_back({"(II) + syntactic prune", "-", Opts});
-    Opts.SyntacticPrune = false;
-    Opts.SemanticPrune = true;
-    Rows.push_back({"(II) + semantic prune", "-", Opts});
-    Opts.SemanticPrune = false;
     Opts.Cut = CutConfig::mult(1.0);
     Rows.push_back({"(III) := (II) + cut 1", "97 ms", Opts});
-    Opts.SyntacticPrune = true;
-    Rows.push_back({"(III) + syntactic prune", "-", Opts});
-    Opts.SyntacticPrune = false;
-    Opts.SemanticPrune = true;
-    Rows.push_back({"(III) + semantic prune", "-", Opts});
-    Opts.SyntacticPrune = true;
-    Rows.push_back({"(III) + syntactic + semantic prune", "-", Opts});
-    Opts.SyntacticPrune = false;
-    Opts.SemanticPrune = false;
     Opts.SymmetryReduce = true;
     Rows.push_back({"(III) + symmetry", "-", Opts});
-    Opts.SemanticPrune = true;
-    Rows.push_back({"(III) + semantic prune + symmetry", "-", Opts});
   }
 
   JsonResultWriter Json;
   Table T({"Approach", "Time (measured)", "Time (paper)", "len",
-           "states expanded", "states gen", "syn pruned", "sem pruned",
-           "sym merged", "peak MB"});
+           "states expanded", "states gen", "syn pruned", "sym merged",
+           "peak MB"});
   for (const Row &Config : Rows) {
     SearchResult R = synthesize(M, Config.Opts, &DT);
     bool Verified =
@@ -189,7 +168,6 @@ int main(int argc, char **argv) {
         .cell(R.Stats.StatesExpanded)
         .cell(R.Stats.StatesGenerated)
         .cell(R.Stats.SyntacticPruned)
-        .cell(R.Stats.SemanticPruned)
         .cell(R.Stats.SymmetryMerged)
         .cell(PeakMB);
     Json.add(Config.Name, R);
@@ -204,18 +182,11 @@ int main(int argc, char **argv) {
       "batch expansion (DESIGN.md); this container has 1 core, so the\n"
       "parallel row cannot show a speedup. The action filter keeps cmps on\n"
       "unresolved register pairs (see EXPERIMENTS.md on section 3.2).\n"
-      "The syntactic-prune rows (lint/PrefixLint.h) refuse expansions that\n"
-      "provably plant a dead instruction; the prune is sound (it preserves\n"
-      "the 5602-solution count, see LintTest.cpp) and mainly cuts states\n"
-      "GENERATED — most pruned targets are states dedup would also skip.\n"
-      "The semantic-prune rows add the order-domain abstract interpreter\n"
-      "(analysis/OrderDomain.h): expansions whose instruction is provably a\n"
-      "no-op — or a cmp with a statically determined outcome — under the\n"
-      "inferred <=-relation are refused, subsuming the syntactic facts\n"
-      "(DESIGN.md section 10; soundness pinned in EngineEquivalenceTest).\n"
-      "Determined-cmp prunes remove whole child states, so the semantic\n"
-      "rows also shrink states EXPANDED, at the cost of carrying one\n"
-      "48-byte order state per stored node.\n"
+      "Every row runs the syntactic prune (lint/PrefixLint.h), which\n"
+      "refuses expansions that provably plant a dead instruction ('syn\n"
+      "pruned'); it is sound (it preserves the 5602-solution count, see\n"
+      "LintTest.cpp) and mainly cuts states GENERATED — most pruned\n"
+      "targets are states dedup would also skip.\n"
       "The symmetry rows (analysis/Symmetry.h, DESIGN.md section 11)\n"
       "quotient states by the admissible register renamings — scratch\n"
       "permutations and the lt/gt flag involution — so symmetric states\n"

@@ -7,13 +7,14 @@
 /// \file
 /// The O(1)-amortized incremental half of the linter: a tiny dataflow
 /// summary of a program PREFIX that the enumerative engines thread through
-/// the search (SearchOptions::SyntacticPrune). killsPrefix(I) decides, from
-/// the summary alone, that appending I provably plants a dead instruction
-/// in EVERY completion of the prefix — and a minimal kernel can never
-/// contain a dead instruction (removing it would yield an equally correct,
-/// strictly shorter kernel). Pruning such expansions is therefore sound
-/// for both engines and exactly preserves the optimal-solution count
-/// (asserted against the 5602-solution n=3 enumeration in LintTest.cpp).
+/// every search (the syntactic prune, search/Expansion.h). killsPrefix(I)
+/// decides, from the summary alone, that appending I provably plants a
+/// dead instruction in EVERY completion of the prefix — and a minimal
+/// kernel can never contain a dead instruction (removing it would yield an
+/// equally correct, strictly shorter kernel). Pruning such expansions is
+/// therefore sound for both engines and exactly preserves the
+/// optimal-solution count (asserted against the 5602-solution n=3
+/// enumeration in LintTest.cpp).
 ///
 /// The facts tracked are suffix-independent:
 ///

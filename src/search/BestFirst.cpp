@@ -83,12 +83,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   CandidatePipeline Pipeline(M, Opts, DT, Cuts, Sym.get());
 
   std::vector<Node> Arena;
-  // Parallel to Arena: per-node order-domain states, allocated only with
-  // SemanticPrune (kept out of Node so the option costs nothing when off).
-  // Refreshed together with Lint on a cheaper rediscovery, since both
-  // summarize the represented Parent/Via program.
-  std::vector<OrderState> Orders;
-  const bool TrackOrders = Opts.SemanticPrune;
   // Rows in the level-0 arena; dedup through the sharded index (payload:
   // node index, collisions resolved by row comparison).
   StateStore Store;
@@ -103,16 +97,13 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       RowStore.append(Init.Rows.data(),
                       static_cast<uint32_t>(Init.Rows.size())),
       UINT32_MAX, Instr{Opcode::Mov, 0, 0}, 0});
-  if (TrackOrders)
-    Orders.push_back(OrderState::entry(M.numData()));
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, 0);
   Open.push(OpenEntry{Heuristic(Init.Rows, Scratch), 0, 0});
   Cuts.observe(0, countDistinctGoal(Init.Rows, M, Scratch));
 
   auto StateBytes = [&] {
-    return Store.bytesUsed() + Arena.capacity() * sizeof(Node) +
-           Orders.capacity() * sizeof(OrderState);
+    return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
   };
   auto NotePeak = [&] {
     // One flat level, nothing sealed or spilled: resident == total.
@@ -174,9 +165,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       continue; // Stale entry for a state later reached more cheaply.
     const RowSpan Span = Arena[Index].Rows;
     const PrefixLint Lint = Arena[Index].Lint;
-    // Copied by value: Orders grows in the commit loop below, so a
-    // reference would dangle across reallocation.
-    const OrderState Order = TrackOrders ? Orders[Index] : OrderState{};
     // The arena only grows at the commit loop below; this pointer is
     // stable through the sorted check and the expansion.
     const uint32_t *Rows = RowStore.rows(Span);
@@ -200,8 +188,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     ++Result.Stats.StatesExpanded;
     const uint16_t ChildG = G + 1;
     Batch.clear();
-    Pipeline.expandNode(Rows, Span.Len, Lint, TrackOrders ? &Order : nullptr,
-                        Index, ChildG, Batch, Actions, Result.Stats);
+    Pipeline.expandNode(Rows, Span.Len, Lint, Index, ChildG, Batch, Actions,
+                        Result.Stats);
 
     ScopedNanoTimer MergeTimer(Opts.ProfilePipeline, Result.Stats.MergeNanos);
     for (const Candidate &C : Batch.List) {
@@ -222,14 +210,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
           Existing.Via = C.Via;
           Existing.Lint = C.Lint;
           Existing.Witness = C.Witness;
-          if (TrackOrders) {
-            OrderState NewOrder = Order.extended(C.Via);
-            if (C.Witness != 0) {
-              const SymmetryElem &El = Sym->elem(C.Witness);
-              NewOrder = NewOrder.renamed(El.Perm, El.FlagSwap);
-            }
-            Orders[Hit] = NewOrder;
-          }
           Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG,
                               static_cast<uint32_t>(Hit)});
         }
@@ -242,15 +222,6 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       Arena.push_back(
           Node{RowStore.append(CRows, C.RowLen), Index, C.Via, ChildG,
                C.Lint, C.Witness});
-      if (TrackOrders) {
-        // The stored rows are witness-renamed; the order facts follow.
-        OrderState NewOrder = Order.extended(C.Via);
-        if (C.Witness != 0) {
-          const SymmetryElem &El = Sym->elem(C.Witness);
-          NewOrder = NewOrder.renamed(El.Perm, El.FlagSwap);
-        }
-        Orders.push_back(NewOrder);
-      }
       Shard.insert(C.Hash, NewIndex);
       Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG, NewIndex});
     }
@@ -272,9 +243,8 @@ unsigned sks::networkUpperBound(MachineKind Kind, unsigned N) {
 
 SearchResult sks::synthesize(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *SharedTable) {
-  bool NeedsTable = Opts.UseDistanceTable &&
-                    (Opts.UseViability || Opts.UseActionFilter ||
-                     Opts.Heuristic == HeuristicKind::NeededInstrs);
+  bool NeedsTable = Opts.UseViability || Opts.UseActionFilter ||
+                    Opts.Heuristic == HeuristicKind::NeededInstrs;
   std::unique_ptr<DistanceTable> Owned;
   const DistanceTable *DT = SharedTable;
   if (NeedsTable && !DT) {

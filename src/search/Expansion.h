@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The single candidate pipeline shared by every expansion site: syntactic
-/// prune (lint) -> apply -> viability / erase check (section 3.3) ->
-/// distinct-permutation count (section 3.1) -> cut (section 3.5) ->
-/// canonicalize -> hash. Three sites route through it:
+/// The single candidate pipeline shared by every expansion site: action
+/// gate (section 3.2 filter + syntactic prune) -> apply -> viability /
+/// erase check (section 3.3) -> distinct-permutation count (section 3.1)
+/// -> cut (section 3.5) -> canonicalize -> hash. Three sites route through
+/// it:
 ///
 ///  - the best-first engine's expansion loop (BestFirst.cpp),
 ///  - the layered engine's node-major expansion (sequential and thread-pool
@@ -16,11 +17,10 @@
 ///  - the layered engine's instruction-major batch expansion (the GPU-style
 ///    data-parallel substitute),
 ///
-/// so a future filter — like PR 1's SyntacticPrune, which had to patch all
-/// three copies — is added in exactly one place. Surviving candidates carry
-/// their rows in the batch's flat buffer (no per-candidate allocation), and
-/// arrive pre-hashed so the dedup/merge stage can shard by hash without
-/// touching the rows again.
+/// so a filter is added in exactly one place and every site makes the same
+/// decisions. Surviving candidates carry their rows in the batch's flat
+/// buffer (no per-candidate allocation), and arrive pre-hashed so the
+/// dedup/merge stage can shard by hash without touching the rows again.
 ///
 /// The pipeline is fused, vectorized, and prune-first: apply runs through
 /// the SSE2 applyBatch on every site (not just batch mode), and ALL
@@ -42,7 +42,6 @@
 #ifndef SKS_SEARCH_EXPANSION_H
 #define SKS_SEARCH_EXPANSION_H
 
-#include "analysis/OrderDomain.h"
 #include "analysis/Symmetry.h"
 #include "lint/PrefixLint.h"
 #include "machine/BatchApply.h"
@@ -137,28 +136,29 @@ public:
         NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
         GoalCollapse(!M.goal().isSort()) {}
 
-  /// The pre-apply gate: refuses instructions the lint summary proves
-  /// would plant a dead instruction (SearchOptions::SyntacticPrune) or the
-  /// order-domain state proves redundant (SearchOptions::SemanticPrune;
-  /// \p Order is non-null exactly when that option is on — soundness in
-  /// DESIGN.md section 10). The semantic layer subsumes the syntactic
-  /// dead-instruction facts: the lint summary is maintained
-  /// unconditionally, so the semantic gate consults it too and a
-  /// semantic-only run refuses a superset of what a syntactic-only run
-  /// refuses. With both options on, the syntactic check runs first and
-  /// SemanticPruned counts only the order-domain surplus.
-  bool admits(const PrefixLint &ParentLint, const OrderState *Order, Instr I,
-              SearchStats &Stats) const {
-    if (Opts.SyntacticPrune && ParentLint.killsPrefix(I)) {
-      ++Stats.SyntacticPruned;
-      return false;
+  /// The one action gate of every expansion site: the section 3.2 filter
+  /// (selectActions), then the syntactic prune, which refuses every
+  /// instruction the prefix summary proves would plant a dead instruction
+  /// (lint/PrefixLint.h). Sound and optimal-count-preserving: a minimal
+  /// kernel never contains a dead instruction. Leaves the admitted
+  /// instructions in \p Actions, an in-order subsequence of
+  /// M.instructions(); \p Scratch is selectActions' work buffer.
+  void gateActions(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
+                   std::vector<Instr> &Actions, std::vector<uint32_t> &Scratch,
+                   SearchStats &Stats) const {
+    {
+      ScopedNanoTimer T(Profile, Stats.ApplyNanos);
+      Stats.ActionsFiltered += selectActions(M, DT, Opts.UseActionFilter,
+                                             Rows, Len, Actions, Scratch);
     }
-    if (Order &&
-        (Order->provablyRedundant(I) || ParentLint.killsPrefix(I))) {
-      ++Stats.SemanticPruned;
-      return false;
+    size_t Kept = 0;
+    for (const Instr &I : Actions) {
+      if (Lint.killsPrefix(I))
+        ++Stats.SyntacticPruned;
+      else
+        Actions[Kept++] = I;
     }
-    return true;
+    Actions.resize(Kept);
   }
 
   /// Canonicalizes the raw transformed rows the caller appended at
@@ -182,7 +182,6 @@ public:
     uint8_t Needed = 0;
     bool Viable = true;
     const bool UseDT = Opts.UseViability && DT;
-    const bool UseErase = !UseDT && Opts.UseEraseCheck;
     {
       ScopedNanoTimer T(Profile, Stats.ViabilityNanos);
       for (uint32_t I = 0; I != RawLen; ++I) {
@@ -196,7 +195,7 @@ public:
           }
           if (D > Needed)
             Needed = D;
-        } else if (UseErase && !rowKeepsAllValues(Row)) {
+        } else if (!rowKeepsAllValues(Row)) {
           Viable = false;
           break;
         }
@@ -297,34 +296,15 @@ public:
     return true;
   }
 
-  /// Copies pre-transformed (but not yet canonical) rows into the batch
-  /// and runs the tail of the pipeline — the instruction-major batch
-  /// expansion path, where applyBatch already produced the raw rows.
-  bool pushTransformed(CandidateBatch &B, const uint32_t *Raw, uint32_t Len,
-                       unsigned ChildG, uint32_t Parent, Instr Via,
-                       const PrefixLint &ParentLint,
-                       SearchStats &Stats) const {
-    size_t RawBegin = B.Rows.size();
-    B.Rows.insert(B.Rows.end(), Raw, Raw + Len);
-    return finish(B, RawBegin, ChildG, Parent, Via, ParentLint, Stats);
-  }
-
-  /// Node-major expansion: selects actions (section 3.2), applies each to
-  /// \p Rows with the data-parallel applyBatch, and runs the pipeline —
-  /// the best-first and layered node-major path. \p Rows must not alias
-  /// B.Rows (all callers pass arena storage).
-  void expandNode(const uint32_t *Rows, uint32_t Len,
-                  const PrefixLint &Lint, const OrderState *Order,
+  /// Node-major expansion: gates the actions, applies each to \p Rows with
+  /// the data-parallel applyBatch, and runs the pipeline — the best-first
+  /// and layered node-major path. \p Rows must not alias B.Rows (all
+  /// callers pass arena storage).
+  void expandNode(const uint32_t *Rows, uint32_t Len, const PrefixLint &Lint,
                   uint32_t Parent, unsigned ChildG, CandidateBatch &B,
                   std::vector<Instr> &Actions, SearchStats &Stats) const {
-    {
-      ScopedNanoTimer T(Profile, Stats.ApplyNanos);
-      Stats.ActionsFiltered += selectActions(M, DT, Opts.UseActionFilter,
-                                             Rows, Len, Actions, B.Scratch);
-    }
+    gateActions(Rows, Len, Lint, Actions, B.Scratch, Stats);
     for (const Instr &I : Actions) {
-      if (!admits(Lint, Order, I, Stats))
-        continue;
       size_t RawBegin = B.Rows.size();
       {
         ScopedNanoTimer T(Profile, Stats.ApplyNanos);
@@ -336,9 +316,9 @@ public:
   }
 
 private:
-  /// Per-row half of the section 3.3 erase check (allValuesPresent): true
-  /// when every goal-required value (all of 1..n for the sort goal) still
-  /// occurs in some register of \p Row.
+  /// The section 3.3 erase check, per row: true when every goal-required
+  /// value (all of 1..n for the sort goal) still occurs in some register
+  /// of \p Row.
   bool rowKeepsAllValues(uint32_t Row) const {
     uint32_t Present = 0;
     for (unsigned Reg = 0; Reg != NumRegs; ++Reg) {

@@ -96,7 +96,7 @@ struct LNode {
   uint64_t Ways = 0;
   bool Sorted = false;
   /// Meet of the syntactic-prune summaries of every program merged into
-  /// this node (only maintained with SearchOptions::SyntacticPrune).
+  /// this node.
   PrefixLint Lint = PrefixLint::entry();
 };
 
@@ -118,10 +118,6 @@ enum AbortReason : uint32_t { AbortNone = 0, AbortTime = 1, AbortMemory = 2 };
 /// One shard's output of a level merge (phase 1), committed in phase 2.
 struct ShardMerge {
   std::vector<LNode> Nodes;
-  /// Parallel to Nodes: meet of the order-domain states of every program
-  /// merged into the node (only with SearchOptions::SemanticPrune). Kept
-  /// out of LNode so the option costs nothing when off.
-  std::vector<OrderState> Orders;
   std::vector<uint32_t> Rows; ///< New row data, shard-local offsets.
   IndexShard Local;           ///< Hash -> packRef(ChildG, local index).
   size_t DedupHits = 0;
@@ -203,12 +199,6 @@ private:
   Stopwatch Timer;
   StateStore Store;
   std::vector<std::vector<LNode>> Levels;
-  /// Parallel to Levels: per-node order-domain states, maintained (and
-  /// allocated) only with SearchOptions::SemanticPrune; every vector stays
-  /// empty otherwise. The meet over merged programs is bitwise, hence
-  /// candidate-order-independent, so the states — and the prune decisions
-  /// they drive — are identical for any thread count or expansion mode.
-  std::vector<std::vector<OrderState>> LevelOrders;
   /// Per level: the level-global index of each shard's first node.
   std::vector<std::array<uint32_t, kNumShards>> ShardBases;
   size_t NodeBytes = 0;     ///< LNode + Parents storage across levels.
@@ -219,177 +209,170 @@ private:
 } // namespace
 
 /// Expands every node of level \p G through the shared pipeline into
-/// per-worker candidate batches. Three modes: instruction-major batch
-/// (directly over the level arena), thread-pool node-major, sequential
-/// node-major. All modes honor the deadline, the MaxStates slack bound,
-/// and the byte budget; worker 0 emits trace points in the parallel mode.
+/// per-worker candidate batches: node-major on the thread pool (a pool of
+/// one is the sequential engine), or instruction-major over the level
+/// arena (BatchExpansion). Both loop orders pass every node through the
+/// same action gate and every worker through the same budget checkpoint,
+/// so they generate the same candidates and honor the same deadline,
+/// MaxStates slack bound, and byte budget. Worker 0 emits trace points.
 /// \returns false when the expansion aborted (abort flags recorded).
 bool LayeredEngine::expandLevel(unsigned G,
                                 std::vector<CandidateBatch> &Batches,
                                 SearchResult &Result, const StopToken &Budget,
                                 const std::function<void(size_t)> &Trace) {
   const std::vector<LNode> &Level = Levels[G];
-  const std::vector<OrderState> *Orders =
-      Opts.SemanticPrune ? &LevelOrders[G] : nullptr;
   const RowArena &Arena = Store.arena(G);
+  const std::vector<Instr> &Alphabet = M.instructions();
   const unsigned ChildG = G + 1;
   const size_t RowsPerState = std::max<size_t>(1, Arena.size() / Level.size());
   const double Branch = BranchEstimate > 0
                             ? BranchEstimate
-                            : static_cast<double>(M.instructions().size());
+                            : static_cast<double>(Alphabet.size());
   const size_t Expected = static_cast<size_t>(Level.size() * Branch) + 16;
 
-  auto OverBytes = [&](size_t CandidateBytes) {
-    return Opts.MaxStateBytes > 0 &&
-           stateBytes() + CandidateBytes > Opts.MaxStateBytes;
+  // Instruction-major expansion walks the whole arena per instruction, so
+  // it runs as a single worker.
+  const unsigned Workers = Opts.BatchExpansion ? 1 : Pool.size();
+  Batches.resize(Workers);
+  for (CandidateBatch &B : Batches) {
+    B.clear();
+    B.reserveFor(Expected / Workers + 16, RowsPerState);
+  }
+  std::vector<SearchStats> WorkerStats(Workers);
+  std::atomic<uint32_t> Abort{AbortNone};
+  std::atomic<size_t> Cands{0}, CandBytes{0}, Done{0};
+
+  // The budget checkpoint of every mode. Worker W publishes its batch
+  // growth since its previous call and \p Work more finished units out of
+  // \p TotalWork, then checks the stop token and both memory budgets.
+  // Candidates are pre-dedup and much lighter than nodes, so MaxStates
+  // allows 2x slack but stops runaway levels before they exhaust memory.
+  // \returns false when the worker must stop.
+  struct Published {
+    size_t Cands = 0, Bytes = 0;
+  };
+  auto Checkpoint = [&](const CandidateBatch &B, Published &Last, size_t Work,
+                        size_t TotalWork, unsigned W) {
+    Cands.fetch_add(B.List.size() - Last.Cands, std::memory_order_relaxed);
+    Last.Cands = B.List.size();
+    const size_t Bytes = B.bytesUsed();
+    CandBytes.fetch_add(Bytes - Last.Bytes, std::memory_order_relaxed);
+    Last.Bytes = Bytes;
+    const size_t DoneNow =
+        std::min(TotalWork, Done.fetch_add(Work, std::memory_order_relaxed) +
+                                Work);
+    if (Abort.load(std::memory_order_relaxed) != AbortNone)
+      return false;
+    if (Budget.stopRequested()) {
+      Abort.store(AbortTime, std::memory_order_relaxed);
+      return false;
+    }
+    if ((Opts.MaxStates > 0 &&
+         StoredStates + Cands.load(std::memory_order_relaxed) >=
+             2 * Opts.MaxStates) ||
+        (Opts.MaxStateBytes > 0 &&
+         stateBytes() + CandBytes.load(std::memory_order_relaxed) >
+             Opts.MaxStateBytes)) {
+      Abort.store(AbortMemory, std::memory_order_relaxed);
+      return false;
+    }
+    // Open states: the level's unexpanded share plus the candidates.
+    if (W == 0)
+      Trace(Level.size() - Level.size() * DoneNow / TotalWork +
+            Cands.load(std::memory_order_relaxed));
+    return true;
   };
 
-  if (Opts.BatchExpansion) {
-    // Instruction-major over the level arena: the rows of the whole level
-    // are already one contiguous buffer, so the data-parallel transform
-    // (SSE, see machine/BatchApply.h) runs straight over arena memory and
-    // per-node slices come from the RowSpan handles.
-    Batches.resize(1);
-    CandidateBatch &B = Batches[0];
-    B.clear();
-    B.reserveFor(Expected, RowsPerState);
-    std::vector<uint32_t> Transformed(Arena.size());
-    size_t Checked = 0;
-    for (const Instr &I : M.instructions()) {
-      {
-        ScopedNanoTimer T(Opts.ProfilePipeline, Result.Stats.ApplyNanos);
-        applyBatch(M, I, Arena.data(), Transformed.data(), Arena.size());
-      }
-      for (size_t N = 0; N != Level.size(); ++N) {
-        const LNode &Node = Level[N];
-        if (!Pipeline.admits(Node.Lint, Orders ? &(*Orders)[N] : nullptr, I,
-                             Result.Stats))
-          continue;
-        Pipeline.pushTransformed(B, Transformed.data() + Node.Rows.Offset,
-                                 Node.Rows.Len, ChildG,
-                                 static_cast<uint32_t>(N), I, Node.Lint,
-                                 Result.Stats);
-        if ((++Checked & 1023u) == 0) {
-          Trace(B.List.size());
-          if (Budget.stopRequested()) {
-            recordAbort(Result, AbortTime);
-            return false;
-          }
-          if ((Opts.MaxStates > 0 &&
-               StoredStates + B.List.size() >= 2 * Opts.MaxStates) ||
-              OverBytes(B.bytesUsed())) {
-            recordAbort(Result, AbortMemory);
-            return false;
-          }
-        }
-      }
-    }
-    Result.Stats.StatesExpanded += Level.size();
-    return true;
-  }
-
-  if (Opts.NumThreads > 1) {
-    const unsigned Workers = Pool.size();
-    Batches.resize(Workers);
-    for (CandidateBatch &B : Batches) {
-      B.clear();
-      B.reserveFor(Expected / Workers + 16, RowsPerState);
-    }
-    std::vector<SearchStats> WorkerStats(Workers);
-    std::atomic<uint32_t> Abort{AbortNone};
-    std::atomic<size_t> Cands{0}, CandBytes{0}, Done{0};
+  if (!Opts.BatchExpansion) {
     // Static chunking: worker W owns one contiguous node range, so the
     // concatenated batches list candidates in exactly the sequential
     // engine's order regardless of thread count.
     Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End,
                                        unsigned W) {
       CandidateBatch &B = Batches[W];
-      SearchStats &S = WorkerStats[W];
       std::vector<Instr> Actions;
-      size_t LastCands = 0, LastBytes = 0;
+      Published Last;
       for (size_t I = Begin; I != End; ++I) {
         const LNode &Node = Level[I];
         Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                            Orders ? &(*Orders)[I] : nullptr,
-                            static_cast<uint32_t>(I), ChildG, B, Actions, S);
-        if (((I - Begin) & 63u) == 63u || I + 1 == End) {
-          Cands.fetch_add(B.List.size() - LastCands,
-                          std::memory_order_relaxed);
-          LastCands = B.List.size();
-          size_t Bytes = B.bytesUsed();
-          CandBytes.fetch_add(Bytes - LastBytes, std::memory_order_relaxed);
-          LastBytes = Bytes;
-          Done.fetch_add(64, std::memory_order_relaxed);
-          if (Abort.load(std::memory_order_relaxed) != AbortNone)
-            return;
-          if (Budget.stopRequested()) {
-            Abort.store(AbortTime, std::memory_order_relaxed);
-            return;
-          }
-          if ((Opts.MaxStates > 0 &&
-               StoredStates + Cands.load(std::memory_order_relaxed) >=
-                   2 * Opts.MaxStates) ||
-              OverBytes(CandBytes.load(std::memory_order_relaxed))) {
-            Abort.store(AbortMemory, std::memory_order_relaxed);
-            return;
-          }
-          if (W == 0) {
-            size_t D = Done.load(std::memory_order_relaxed);
-            Trace(Level.size() - std::min(Level.size(), D) +
-                  Cands.load(std::memory_order_relaxed));
-          }
-        }
+                            static_cast<uint32_t>(I), ChildG, B, Actions,
+                            WorkerStats[W]);
+        if ((((I - Begin) & 63u) == 63u || I + 1 == End) &&
+            !Checkpoint(B, Last, ((I - Begin) & 63u) + 1, Level.size(), W))
+          return;
       }
     });
-    for (const SearchStats &S : WorkerStats) {
-      Result.Stats.StatesGenerated += S.StatesGenerated;
-      Result.Stats.ViabilityPruned += S.ViabilityPruned;
-      Result.Stats.CutStates += S.CutStates;
-      Result.Stats.ActionsFiltered += S.ActionsFiltered;
-      Result.Stats.SyntacticPruned += S.SyntacticPruned;
-      Result.Stats.SemanticPruned += S.SemanticPruned;
-      Result.Stats.SymmetryMerged += S.SymmetryMerged;
-      // Stage profile: CPU time summed over workers (see Search.h).
-      Result.Stats.ApplyNanos += S.ApplyNanos;
-      Result.Stats.CanonNanos += S.CanonNanos;
-      Result.Stats.ViabilityNanos += S.ViabilityNanos;
-    }
-    Result.Stats.StatesExpanded += Level.size();
-    if (uint32_t Reason = Abort.load(std::memory_order_relaxed)) {
-      recordAbort(Result, Reason);
-      return false;
-    }
-    return true;
+  } else {
+    // Instruction-major over the level arena: the rows of the whole level
+    // are one contiguous buffer, so the data-parallel transform (SSE, see
+    // machine/BatchApply.h) runs straight over arena memory once per
+    // instruction, and per-node slices come from the RowSpan handles. The
+    // action gate runs first, recording each node's admitted instructions
+    // as a bitmask over the alphabet. Work units: one gated node, one
+    // (instruction, node) visit.
+    [&] {
+      CandidateBatch &B = Batches[0];
+      SearchStats &S = WorkerStats[0];
+      const size_t Words = (Alphabet.size() + 63) / 64;
+      const size_t TotalWork = Level.size() * (Alphabet.size() + 1);
+      std::vector<uint64_t> Admitted(Level.size() * Words);
+      std::vector<Instr> Actions;
+      Published Last;
+      for (size_t N = 0; N != Level.size(); ++N) {
+        const LNode &Node = Level[N];
+        Pipeline.gateActions(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
+                             Actions, B.Scratch, S);
+        size_t K = 0;
+        for (const Instr &I : Actions) {
+          while (Alphabet[K] != I)
+            ++K;
+          Admitted[N * Words + K / 64] |= uint64_t(1) << (K % 64);
+          ++K;
+        }
+        if ((N & 1023u) == 1023u && !Checkpoint(B, Last, 1024, TotalWork, 0))
+          return;
+      }
+      std::vector<uint32_t> Transformed(Arena.size());
+      size_t Visits = 0;
+      for (size_t K = 0; K != Alphabet.size(); ++K) {
+        const Instr I = Alphabet[K];
+        {
+          ScopedNanoTimer T(Opts.ProfilePipeline, S.ApplyNanos);
+          applyBatch(M, I, Arena.data(), Transformed.data(), Arena.size());
+        }
+        for (size_t N = 0; N != Level.size(); ++N) {
+          if ((++Visits & 1023u) == 0 &&
+              !Checkpoint(B, Last, 1024, TotalWork, 0))
+            return;
+          if (!((Admitted[N * Words + K / 64] >> (K % 64)) & 1u))
+            continue;
+          const LNode &Node = Level[N];
+          const uint32_t *Raw = Transformed.data() + Node.Rows.Offset;
+          const size_t RawBegin = B.Rows.size();
+          B.Rows.insert(B.Rows.end(), Raw, Raw + Node.Rows.Len);
+          Pipeline.finish(B, RawBegin, ChildG, static_cast<uint32_t>(N), I,
+                          Node.Lint, S);
+        }
+      }
+    }();
   }
 
-  // Sequential node-major.
-  Batches.resize(1);
-  CandidateBatch &B = Batches[0];
-  B.clear();
-  B.reserveFor(Expected, RowsPerState);
-  std::vector<Instr> Actions;
-  for (size_t I = 0; I != Level.size(); ++I) {
-    const LNode &Node = Level[I];
-    Pipeline.expandNode(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                        Orders ? &(*Orders)[I] : nullptr,
-                        static_cast<uint32_t>(I), ChildG, B, Actions,
-                        Result.Stats);
-    ++Result.Stats.StatesExpanded;
-    if ((I & 1023u) == 0) {
-      Trace(Level.size() - I + B.List.size());
-      if (Budget.stopRequested()) {
-        recordAbort(Result, AbortTime);
-        return false;
-      }
-      if ((Opts.MaxStates > 0 &&
-           StoredStates + B.List.size() >= 2 * Opts.MaxStates) ||
-          OverBytes(B.bytesUsed())) {
-        // Candidates are pre-dedup and much lighter than nodes; allow
-        // slack but stop runaway levels before they exhaust memory.
-        recordAbort(Result, AbortMemory);
-        return false;
-      }
-    }
+  for (const SearchStats &S : WorkerStats) {
+    Result.Stats.StatesGenerated += S.StatesGenerated;
+    Result.Stats.ViabilityPruned += S.ViabilityPruned;
+    Result.Stats.CutStates += S.CutStates;
+    Result.Stats.ActionsFiltered += S.ActionsFiltered;
+    Result.Stats.SyntacticPruned += S.SyntacticPruned;
+    Result.Stats.SymmetryMerged += S.SymmetryMerged;
+    // Stage profile: CPU time summed over workers (see Search.h).
+    Result.Stats.ApplyNanos += S.ApplyNanos;
+    Result.Stats.CanonNanos += S.CanonNanos;
+    Result.Stats.ViabilityNanos += S.ViabilityNanos;
+  }
+  Result.Stats.StatesExpanded += Level.size();
+  if (uint32_t Reason = Abort.load(std::memory_order_relaxed)) {
+    recordAbort(Result, Reason);
+    return false;
   }
   return true;
 }
@@ -437,8 +420,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   // scheduling with stealing as the correction, replacing the shared
   // dynamic cursor that hash-skewed shard sizes used to contend on.
   const std::vector<LNode> &Prev = Levels[ChildG - 1];
-  const std::vector<OrderState> *PrevOrders =
-      Opts.SemanticPrune ? &LevelOrders[ChildG - 1] : nullptr;
   std::vector<ShardMerge> Shards(kNumShards);
   std::atomic<uint32_t> Abort{AbortNone};
   std::atomic<size_t> NewStates{0}, NewBytes{0}, Processed{0};
@@ -471,7 +452,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               LastStates = Sh.Nodes.size();
               size_t Bytes = Sh.Rows.capacity() * sizeof(uint32_t) +
                              Sh.Nodes.capacity() * sizeof(LNode) +
-                             Sh.Orders.capacity() * sizeof(OrderState) +
                              Sh.Local.bytesUsed();
               NewBytes.fetch_add(Bytes - LastBytes,
                                  std::memory_order_relaxed);
@@ -518,20 +498,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               continue;
             }
 
-            // The child's order-domain state: facts about the canonical
-            // rows, so merging it (by meet, below) over every program
-            // reaching the node keeps only program-independent facts.
-            // Under SymmetryReduce the stored rows are the WITNESS-renamed
-            // rows, so the order facts rename along with them.
-            OrderState ChildOrder;
-            if (PrevOrders) {
-              ChildOrder = (*PrevOrders)[C.Parent].extended(C.Via);
-              if (C.Witness != 0) {
-                const SymmetryElem &El = Sym->elem(C.Witness);
-                ChildOrder = ChildOrder.renamed(El.Perm, El.FlagSwap);
-              }
-            }
-
             // Same-level probe: merge into the DAG node.
             uint64_t LocalHit = Sh.Local.find(C.Hash, [&](uint64_t P) {
               const LNode &N = Sh.Nodes[refLocal(P)];
@@ -543,8 +509,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               LNode &Node = Sh.Nodes[refLocal(LocalHit)];
               Node.Ways += Prev[C.Parent].Ways;
               Node.Lint.meet(C.Lint);
-              if (PrevOrders)
-                Sh.Orders[refLocal(LocalHit)].meet(ChildOrder);
               if (Node.Sorted)
                 Sh.SolutionDelta += Prev[C.Parent].Ways;
               if (Opts.FindAll)
@@ -582,8 +546,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             Sh.Local.insert(C.Hash, packRef(ChildG, static_cast<uint32_t>(
                                                         Sh.Nodes.size())));
             Sh.Nodes.push_back(std::move(Node));
-            if (PrevOrders)
-              Sh.Orders.push_back(ChildOrder);
           }
         }
       });
@@ -608,9 +570,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   ShardBases.push_back(Bases);
   std::vector<LNode> &Next = Levels.emplace_back();
   Next.resize(NodeTotal);
-  std::vector<OrderState> &NextOrders = LevelOrders.emplace_back();
-  if (Opts.SemanticPrune)
-    NextOrders.resize(NodeTotal);
   RowArena &Arena = Store.arena(ChildG);
   Arena.resize(RowTotal);
   std::vector<uint32_t> CommitOrder(kNumShards);
@@ -630,8 +589,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       N.Rows.Offset += RowBases[S];
       Next[Bases[S] + I] = std::move(N);
     }
-    for (size_t I = 0; I != Sh.Orders.size(); ++I)
-      NextOrders[Bases[S] + I] = Sh.Orders[I];
     IndexShard &Global = Store.shard(S);
     Sh.Local.forEach(
         [&](uint64_t H, uint64_t P) { Global.insert(H, P); });
@@ -645,8 +602,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
       Cuts.observe(ChildG, Sh.MinPerm);
     FoundSorted |= Sh.FoundSorted;
   }
-  NodeBytes += Next.capacity() * sizeof(LNode) +
-               NextOrders.capacity() * sizeof(OrderState);
+  NodeBytes += Next.capacity() * sizeof(LNode);
   if (Opts.FindAll)
     for (const LNode &N : Next)
       NodeBytes += N.Parents.capacity() * sizeof(ParentEdge);
@@ -697,7 +653,6 @@ SearchResult LayeredEngine::run() {
   // No references into Levels/ShardBases survive a level commit, but
   // reserving up front removes the whole outer-reallocation hazard class.
   Levels.reserve(Opts.MaxLength + 2);
-  LevelOrders.reserve(Opts.MaxLength + 2);
   ShardBases.reserve(Opts.MaxLength + 2);
 
   SearchState Init = initialState(M);
@@ -713,12 +668,8 @@ SearchResult LayeredEngine::run() {
   uint64_t RootHash = hashWords(Init.Rows.data(), Init.Rows.size());
   Store.shard(StateStore::shardOf(RootHash)).insert(RootHash, packRef(0, 0));
   Levels.emplace_back().push_back(std::move(Root));
-  LevelOrders.emplace_back();
-  if (Opts.SemanticPrune)
-    LevelOrders[0].push_back(OrderState::entry(M.numData()));
   ShardBases.push_back({});
-  NodeBytes += Levels[0].capacity() * sizeof(LNode) +
-               LevelOrders[0].capacity() * sizeof(OrderState);
+  NodeBytes += Levels[0].capacity() * sizeof(LNode);
   notePeaks(Result);
   Result.Stats.LevelStates.push_back(Levels[0].size());
 

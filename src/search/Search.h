@@ -14,6 +14,8 @@
 ///    per-assignment-distance lower bound;
 ///  - the "optimal instructions" action filter (section 3.2);
 ///  - the viability check (section 3.3);
+///  - a syntactic prune that never appends an instruction the prefix
+///    summary proves dead in every completion (lint/PrefixLint.h);
 ///  - the non-optimality-preserving cut on the distinct-permutation count
 ///    (section 3.5), multiplicative (factor k) or additive (+c);
 ///  - deduplication of equivalent programs via canonical state hashing
@@ -82,33 +84,13 @@ struct SearchOptions {
   double HeuristicWeight = 1.0;
   CutConfig Cut = CutConfig::none();
   /// Prune states where some assignment cannot be sorted in the remaining
-  /// budget (section 3.3; requires the distance table).
+  /// budget (section 3.3; requires the distance table). Without it the
+  /// always-applicable half still runs: a state in which some assignment
+  /// has lost one of the values 1..n from every register is pruned.
   bool UseViability = true;
-  /// The always-applicable half of section 3.3: prune states in which some
-  /// assignment has lost one of the values 1..n from every register ("a
-  /// program is not viable if it eliminates at least one of the numbers").
-  /// Subsumed by UseViability when the distance table is active.
-  bool UseEraseCheck = true;
   /// Only expand instructions on some assignment's optimal completion
   /// (section 3.2; requires the distance table).
   bool UseActionFilter = false;
-  /// Refuse expansions that provably plant a dead instruction in the
-  /// prefix (lint/PrefixLint.h): a clobbered-unread cmp, an overwritten
-  /// unread move, a conditional move before any cmp, an idempotent repeat.
-  /// Sound and optimal-count-preserving: a minimal kernel never contains a
-  /// dead instruction. Composes with the section 3.2/3.3 semantic filters.
-  bool SyntacticPrune = false;
-  /// Refuse expansions the order-domain abstract interpreter
-  /// (analysis/OrderDomain.h) proves redundant: a cmp whose outcome the
-  /// established partial order already determines, a conditional move that
-  /// provably never fires or moves an equal value, a mov/pmin/pmax whose
-  /// result the destination already holds. Sound and solution-preserving
-  /// (DESIGN.md section 10): a proven no-op reproduces the parent's
-  /// canonical state, which dedup would discard at a shallower level, and
-  /// a determined cmp rewrites with its dependent cmovs to strictly fewer
-  /// plain moves, so no minimal kernel contains either. Composes with
-  /// SyntacticPrune.
-  bool SemanticPrune = false;
   /// Quotient the search space by the machine's admissible register
   /// renamings (analysis/Symmetry.h; DESIGN.md section 11): every
   /// candidate state is replaced by the lexicographically-least member of
@@ -121,9 +103,6 @@ struct SearchOptions {
   /// on machines whose renaming group is trivial (min/max at m = 1: no
   /// flags, one scratch register).
   bool SymmetryReduce = false;
-  /// Build the distance table (implied by the two options above and the
-  /// NeededInstrs heuristic).
-  bool UseDistanceTable = true;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
   /// Use the layered engine and enumerate ALL optimal kernels.
@@ -149,8 +128,10 @@ struct SearchOptions {
   unsigned NumThreads = 1;
   /// Force the layered engine even when FindAll is off ("dijkstra" rows).
   bool Layered = false;
-  /// Instruction-major flat-buffer expansion in the layered engine (the
-  /// GPU-style data-parallel substitute).
+  /// Instruction-major expansion in the layered engine (the GPU-style
+  /// data-parallel substitute): each instruction is applied to the whole
+  /// level arena at once. Same action gate, budget checks, and per-level
+  /// state counts as node-major expansion; only the loop order differs.
   bool BatchExpansion = false;
   /// Layered engine: delta/varint-compress the row arena of each level as
   /// it leaves the expansion window (its only remaining readers are dedup
@@ -192,11 +173,9 @@ struct SearchStats {
   size_t CutStates = 0;
   size_t ViabilityPruned = 0;
   size_t ActionsFiltered = 0;
-  /// Expansions refused by SearchOptions::SyntacticPrune.
+  /// Expansions refused by the syntactic prune (lint/PrefixLint.h): the
+  /// instruction would plant a dead instruction in every completion.
   size_t SyntacticPruned = 0;
-  /// Expansions refused by SearchOptions::SemanticPrune (the order-domain
-  /// abstract interpreter's provably-redundant gate).
-  size_t SemanticPruned = 0;
   /// Candidates SearchOptions::SymmetryReduce rewrote onto a strictly
   /// smaller orbit representative (witness != identity). A per-candidate
   /// property of the canonical rows, counted before dedup, so the total is
@@ -263,6 +242,8 @@ struct SearchResult {
 /// when Opts.FindAll or Opts.Layered is set, to the best-first engine
 /// otherwise. \p SharedTable optionally reuses a prebuilt distance table
 /// (they are deterministic per machine); pass nullptr to build on demand.
+/// The table is used only when viability, the action filter, or the
+/// NeededInstrs heuristic reads it.
 SearchResult synthesize(const Machine &M, const SearchOptions &Opts,
                         const DistanceTable *SharedTable = nullptr);
 

@@ -190,39 +190,6 @@ inline size_t selectActions(const Machine &M, const DistanceTable *DT,
   }
   return All.size() - Out.size();
 }
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter, const uint32_t *Rows,
-                            size_t Len, std::vector<Instr> &Out) {
-  std::vector<uint32_t> Applied;
-  return selectActions(M, DT, UseActionFilter, Rows, Len, Out, Applied);
-}
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter,
-                            const std::vector<uint32_t> &Rows,
-                            std::vector<Instr> &Out) {
-  return selectActions(M, DT, UseActionFilter, Rows.data(), Rows.size(), Out);
-}
-
-/// Section 3.3's basic viability: every goal-required value (all of 1..n
-/// for the sort goal) must survive in every row. \returns false when some
-/// row erased a required value.
-inline bool allValuesPresent(const Machine &M, const uint32_t *Rows,
-                             size_t Len) {
-  const uint32_t FullMask = M.requiredValueMask();
-  const unsigned R = M.numRegs();
-  for (size_t I = 0; I != Len; ++I) {
-    uint32_t Present = 0;
-    for (unsigned Reg = 0; Reg != R; ++Reg)
-      Present |= 1u << getReg(Rows[I], Reg);
-    if ((Present & FullMask) != FullMask)
-      return false;
-  }
-  return true;
-}
-inline bool allValuesPresent(const Machine &M,
-                             const std::vector<uint32_t> &Rows) {
-  return allValuesPresent(M, Rows.data(), Rows.size());
-}
 
 SearchResult bestFirstSearch(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *DT);

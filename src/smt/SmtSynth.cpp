@@ -435,8 +435,13 @@ SmtResult sks::smtSynthesizeIterative(const Machine &M, SmtOptions Opts,
     if (TotalBudget > 0)
       Opts.TimeoutSeconds = std::max(0.01, TotalBudget - Timer.seconds());
     Last = smtSynthesize(M, Opts);
-    if (Last.Found || Last.TimedOut || Budget.stopRequested())
+    if (Last.Found || Last.TimedOut)
       break;
+    if (Budget.stopRequested()) {
+      // Longer lengths were never tried, so this is no proof of absence.
+      Last.TimedOut = Length < MaxLength;
+      break;
+    }
   }
   Last.Seconds = Timer.seconds();
   return Last;

@@ -161,6 +161,16 @@ TEST(Tsne, ProgramDistanceMatrixIsHammingBased) {
 
 constexpr unsigned kSym = OrderState::kSymBase;
 
+/// True when the semantic lint rules flag \p I appended to \p Prefix: the
+/// order domain's proof that the instruction is removable at that point.
+bool flaggedAfter(Program Prefix, Instr I, unsigned NumData) {
+  Prefix.push_back(I);
+  for (const Diagnostic &D : semanticDiagnostics(Prefix, NumData))
+    if (D.InstrIndex + 1 == Prefix.size())
+      return true;
+  return false;
+}
+
 TEST(OrderDomain, EntryStateKnowsInitialBindings) {
   OrderState S = OrderState::entry(3);
   // Data register i holds exactly x_i+1; scratch holds exactly Z.
@@ -176,8 +186,8 @@ TEST(OrderDomain, EntryStateKnowsInitialBindings) {
   EXPECT_FALSE(S.leq(1, 0));
   // Flags are clear at entry: only the EQ outcome, so cmovs are dead.
   EXPECT_EQ(S.flagOutcomes(), OrderState::kEq);
-  EXPECT_TRUE(S.provablyRedundant(Instr{Opcode::CMovL, 0, 1}));
-  EXPECT_TRUE(S.provablyRedundant(Instr{Opcode::CMovG, 0, 1}));
+  EXPECT_TRUE(flaggedAfter({}, Instr{Opcode::CMovL, 0, 1}, 3));
+  EXPECT_TRUE(flaggedAfter({}, Instr{Opcode::CMovG, 0, 1}, 3));
 }
 
 TEST(OrderDomain, DataVersusScratchCmpIsDetermined) {
@@ -185,11 +195,11 @@ TEST(OrderDomain, DataVersusScratchCmpIsDetermined) {
   // are disjoint, so GT is the only possible outcome.
   OrderState S = OrderState::entry(3);
   EXPECT_EQ(S.cmpOutcomes(0, 3), OrderState::kGt);
-  EXPECT_TRUE(S.provablyRedundant(Instr{Opcode::Cmp, 0, 3}));
+  EXPECT_TRUE(flaggedAfter({}, Instr{Opcode::Cmp, 0, 3}, 3));
   // A data-data cmp is informative: LT or GT (EQ impossible — the inputs
   // are a permutation, so distinct symbols hold distinct values).
   EXPECT_EQ(S.cmpOutcomes(0, 1), OrderState::kLt | OrderState::kGt);
-  EXPECT_FALSE(S.provablyRedundant(Instr{Opcode::Cmp, 0, 1}));
+  EXPECT_FALSE(flaggedAfter({}, Instr{Opcode::Cmp, 0, 1}, 3));
 }
 
 TEST(OrderDomain, MinIdiomEstablishesOrderThroughCmovJoin) {
@@ -209,7 +219,9 @@ TEST(OrderDomain, MinIdiomEstablishesOrderThroughCmovJoin) {
   // A pmin-style "min already in place" claim on the cmov machine's
   // state: a second cmovg on the same (now stale) pair cannot be proven
   // redundant — the flags pair was invalidated by the write to r1.
-  EXPECT_FALSE(S.provablyRedundant(Instr{Opcode::CMovG, 1, 0}));
+  const Program Idiom = {Instr{Opcode::Mov, 3, 0}, Instr{Opcode::Cmp, 0, 1},
+                         Instr{Opcode::CMovG, 0, 1}};
+  EXPECT_FALSE(flaggedAfter(Idiom, Instr{Opcode::CMovG, 1, 0}, 3));
 }
 
 TEST(OrderDomain, MinMaxFoldsEstablishOrder) {
@@ -218,11 +230,13 @@ TEST(OrderDomain, MinMaxFoldsEstablishOrder) {
   EXPECT_TRUE(S.leq(0, 1)); // min(d, s) <= old s, which r2 still holds.
   // Repeating the fold is a provable no-op; the mirror max is not (it
   // writes r2's value over the min).
-  EXPECT_TRUE(S.provablyRedundant(Instr{Opcode::Min, 0, 1}));
-  EXPECT_FALSE(S.provablyRedundant(Instr{Opcode::Min, 1, 0}));
+  const Program Fold = {Instr{Opcode::Min, 0, 1}};
+  EXPECT_TRUE(flaggedAfter(Fold, Instr{Opcode::Min, 0, 1}, 3));
+  EXPECT_FALSE(flaggedAfter(Fold, Instr{Opcode::Min, 1, 0}, 3));
   S = S.extended(Instr{Opcode::Max, 1, 0});
   EXPECT_TRUE(S.leq(0, 1));
-  EXPECT_TRUE(S.provablyRedundant(Instr{Opcode::Max, 1, 0}));
+  EXPECT_TRUE(flaggedAfter({Instr{Opcode::Min, 0, 1}, Instr{Opcode::Max, 1, 0}},
+                           Instr{Opcode::Max, 1, 0}, 3));
 }
 
 TEST(OrderDomain, InterpretProgramReturnsPerInstructionStates) {
@@ -295,9 +309,12 @@ TEST(OrderDomain, RandomPrefixFactsHoldConcretely) {
       }
     };
 
+    // Every instruction the semantic lint rules flag after the prefix
+    // must really be removable there.
+    Program Prefix;
     auto CheckClaims = [&](const OrderState &S) {
       for (const Instr &I : Alphabet) {
-        if (!S.provablyRedundant(I))
+        if (!flaggedAfter(Prefix, I, C.N))
           continue;
         if (I.Op == Opcode::Cmp) {
           // Determined cmp: one outcome across ALL rows, the one claimed.
@@ -320,6 +337,7 @@ TEST(OrderDomain, RandomPrefixFactsHoldConcretely) {
 
     for (int Trial = 0; Trial != 50; ++Trial) {
       Rows = Init;
+      Prefix.clear();
       OrderState S = OrderState::entry(C.N);
       const unsigned Len = 1 + Rng() % 8;
       for (unsigned Step = 0; Step != Len; ++Step) {
@@ -328,6 +346,7 @@ TEST(OrderDomain, RandomPrefixFactsHoldConcretely) {
         for (uint32_t &Row : Rows)
           Row = M.apply(Row, I);
         S = S.extended(I);
+        Prefix.push_back(I);
         CheckState(S);
       }
     }

@@ -6,12 +6,15 @@
 //
 // The layered engine has three execution modes — sequential node-major,
 // thread-pool parallel, and instruction-major batch — that must be
-// semantically indistinguishable: the sharded merge (state/StateStore.h)
-// folds per-shard sums and mins, both order-independent, so the solution
-// DAG, the exact solution count, and the reconstructed kernel set are
-// identical for any thread count. These tests pin that equivalence on the
-// full n=3 all-solutions experiment (5602 optimal kernels) and on the
-// min/max machine.
+// semantically indistinguishable: every mode passes each node through the
+// same action gate, and the sharded merge (state/StateStore.h) folds
+// per-shard sums and mins, both order-independent, so the per-level state
+// counts, the solution DAG, the exact solution count, and the
+// reconstructed kernel set are identical for any mode. These tests pin that
+// equivalence on the full n=3 all-solutions experiment (5602 optimal
+// kernels), on the n=4 cut-1 DAG, and on the min/max machine. The n=3
+// sequential run and the n=4 cut-1 run are each solved once per process
+// and shared by every test that compares against them.
 //
 //===----------------------------------------------------------------------===//
 
@@ -61,17 +64,76 @@ std::set<std::string> solutionSet(const Machine &M, const SearchResult &R) {
   return Set;
 }
 
+/// The n=3 sequential all-solutions run (the 5602-kernel baseline).
+const SearchResult &sequentialN3() {
+  static const SearchResult R = synthesize(
+      Machine(MachineKind::Cmov, 3),
+      findAllConfig(MachineKind::Cmov, 3, kModes[0]));
+  return R;
+}
+
+/// Runs the n=3 all-solutions configuration in mode \p Mo, reusing the
+/// shared baseline for the sequential mode.
+SearchResult findAllN3(const Mode &Mo) {
+  if (Mo.NumThreads == 1 && !Mo.Batch)
+    return sequentialN3();
+  return synthesize(Machine(MachineKind::Cmov, 3),
+                    findAllConfig(MachineKind::Cmov, 3, Mo));
+}
+
+/// The n=4 cut-1 all-solutions configuration (perm-count heuristic,
+/// viability, cut k=1).
+SearchOptions cutOneN4Config() {
+  SearchOptions Opts;
+  Opts.Heuristic = HeuristicKind::PermCount;
+  Opts.Cut = CutConfig::mult(1.0);
+  Opts.FindAll = true;
+  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 4);
+  return Opts;
+}
+
+/// The n=4 cut-1 DAG, counted only (no reconstruction), on four threads.
+const SearchResult &cutOneN4() {
+  static const SearchResult R = [] {
+    SearchOptions Opts = cutOneN4Config();
+    Opts.MaxSolutionsKept = 0;
+    Opts.NumThreads = 4;
+    return synthesize(Machine(MachineKind::Cmov, 4), Opts);
+  }();
+  return R;
+}
+
+size_t storedStates(const SearchResult &R) {
+  size_t Total = 0;
+  for (size_t Level : R.Stats.LevelStates)
+    Total += Level;
+  return Total;
+}
+
 TEST(EngineEquivalence, CmovN3AllModesAgreeOn5602Solutions) {
   Machine M(MachineKind::Cmov, 3);
+  const SearchResult &Baseline = sequentialN3();
+  // The per-level state counts of the n=3 all-solutions run. The syntactic
+  // prune refuses ~10M expansions here without changing a single level.
+  const std::vector<size_t> kLevelStates = {
+      1, 7, 36, 225, 1213, 6432, 26828, 110995, 389945, 995165, 74019, 2166};
+  EXPECT_EQ(Baseline.Stats.LevelStates, kLevelStates);
+  EXPECT_GT(Baseline.Stats.SyntacticPruned, 0u);
   std::set<std::string> Reference;
   for (const Mode &Mo : kModes) {
-    SearchResult R = synthesize(M, findAllConfig(MachineKind::Cmov, 3, Mo));
+    SearchResult R = findAllN3(Mo);
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
     EXPECT_EQ(R.SolutionCount, 5602u)
         << Mo.Name << ": paper section 5.3's exact count";
     EXPECT_EQ(R.Solutions.size(), 5602u) << Mo.Name;
     EXPECT_GT(R.Stats.PeakStateBytes, 0u) << Mo.Name;
+    // Every mode gates and filters the same candidates.
+    EXPECT_EQ(R.Stats.LevelStates, Baseline.Stats.LevelStates) << Mo.Name;
+    EXPECT_EQ(R.Stats.StatesGenerated, Baseline.Stats.StatesGenerated)
+        << Mo.Name;
+    EXPECT_EQ(R.Stats.SyntacticPruned, Baseline.Stats.SyntacticPruned)
+        << Mo.Name;
     std::set<std::string> Set = solutionSet(M, R);
     EXPECT_EQ(Set.size(), 5602u) << Mo.Name << ": solutions are distinct";
     if (Reference.empty())
@@ -80,6 +142,19 @@ TEST(EngineEquivalence, CmovN3AllModesAgreeOn5602Solutions) {
       EXPECT_EQ(Set, Reference)
           << Mo.Name << ": reconstructed kernel set differs from sequential";
   }
+}
+
+TEST(EngineEquivalence, CmovN4CutOneDagIsPinned) {
+  // The n=4 cut k=1 all-solutions DAG (EXPERIMENTS.md): with the syntactic
+  // prune always on, the layered engine must still store exactly 1,274,162
+  // states and count exactly 10,820,576 optimal length-20 paths.
+  const SearchResult &R = cutOneN4();
+  ASSERT_TRUE(R.Found);
+  EXPECT_EQ(R.OptimalLength, 20u);
+  EXPECT_EQ(R.SolutionCount, 10820576u);
+  EXPECT_EQ(storedStates(R), 1274162u);
+  EXPECT_TRUE(R.Solutions.empty());
+  EXPECT_GT(R.Stats.SyntacticPruned, 0u);
 }
 
 TEST(EngineEquivalence, MinMaxN3AllModesAgree) {
@@ -123,8 +198,7 @@ TEST(EngineEquivalence, ProfiledRunMatchesAndFillsStageCounters) {
   EXPECT_GT(R.Stats.MergeNanos, 0u);
 
   // And with the profile off (the default), the counters stay zero.
-  SearchResult Off =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[1]));
+  const SearchResult &Off = sequentialN3();
   EXPECT_EQ(Off.Stats.ApplyNanos, 0u);
   EXPECT_EQ(Off.Stats.CanonNanos, 0u);
   EXPECT_EQ(Off.Stats.ViabilityNanos, 0u);
@@ -133,123 +207,15 @@ TEST(EngineEquivalence, ProfiledRunMatchesAndFillsStageCounters) {
 
 TEST(EngineEquivalence, StatsAgreeAcrossThreadCounts) {
   // The merge is deterministic, so the dedup/prune counters — not just the
-  // results — must match between one and four threads (batch expansion
-  // generates candidates in a different order, so only the node-major
-  // modes are compared here).
-  Machine M(MachineKind::Cmov, 3);
-  SearchResult Seq =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
-  SearchResult Par =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[1]));
+  // results — must match between one and four threads.
+  const SearchResult &Seq = sequentialN3();
+  SearchResult Par = findAllN3(kModes[1]);
   EXPECT_EQ(Seq.Stats.StatesExpanded, Par.Stats.StatesExpanded);
   EXPECT_EQ(Seq.Stats.StatesGenerated, Par.Stats.StatesGenerated);
   EXPECT_EQ(Seq.Stats.DedupHits, Par.Stats.DedupHits);
   EXPECT_EQ(Seq.Stats.ViabilityPruned, Par.Stats.ViabilityPruned);
   EXPECT_EQ(Seq.Stats.CutStates, Par.Stats.CutStates);
-}
-
-TEST(EngineEquivalence, SemanticPrunePreservesThe5602SolutionDag) {
-  // The soundness pin of the order-domain prune (SearchOptions::
-  // SemanticPrune): on the full n=3 all-solutions run the pruned search
-  // must reproduce the exact solution set, count, length, and per-level
-  // state counts of the unpruned baseline — the prune only refuses
-  // expansions that dedup or minimality would discard anyway. Checked
-  // across every execution mode, and composed with SyntacticPrune.
-  Machine M(MachineKind::Cmov, 3);
-  SearchResult Baseline =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
-  ASSERT_TRUE(Baseline.Found);
-  ASSERT_EQ(Baseline.SolutionCount, 5602u);
-  const std::set<std::string> Reference = solutionSet(M, Baseline);
-  ASSERT_FALSE(Baseline.Stats.LevelStates.empty());
-
-  std::vector<size_t> PrunedLevels;
-  for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.SemanticPrune = true;
-    SearchResult R = synthesize(M, Opts);
-    ASSERT_TRUE(R.Found) << Mo.Name;
-    EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
-    EXPECT_EQ(R.SolutionCount, 5602u) << Mo.Name;
-    EXPECT_EQ(solutionSet(M, R), Reference) << Mo.Name;
-    EXPECT_GT(R.Stats.SemanticPruned, 0u) << Mo.Name;
-    // The prune decisions are candidate-order-independent (the node
-    // orders merge by bitwise meet), so the surviving state space is
-    // identical level by level across every execution mode. It is smaller
-    // than the baseline's (determined-cmp children are never stored) —
-    // that is the prune working, not a divergence.
-    ASSERT_EQ(R.Stats.LevelStates.size(), Baseline.Stats.LevelStates.size())
-        << Mo.Name;
-    for (size_t L = 0; L != R.Stats.LevelStates.size(); ++L)
-      EXPECT_LE(R.Stats.LevelStates[L], Baseline.Stats.LevelStates[L])
-          << Mo.Name << " level " << L;
-    if (PrunedLevels.empty())
-      PrunedLevels = R.Stats.LevelStates;
-    else
-      EXPECT_EQ(R.Stats.LevelStates, PrunedLevels) << Mo.Name;
-  }
-
-  SearchOptions Both = findAllConfig(MachineKind::Cmov, 3, kModes[0]);
-  Both.SyntacticPrune = true;
-  Both.SemanticPrune = true;
-  SearchResult R = synthesize(M, Both);
-  ASSERT_TRUE(R.Found);
-  EXPECT_EQ(R.SolutionCount, 5602u);
-  EXPECT_EQ(solutionSet(M, R), Reference);
-  EXPECT_EQ(R.Stats.LevelStates, PrunedLevels);
-  EXPECT_GT(R.Stats.SyntacticPruned, 0u);
-  EXPECT_GT(R.Stats.SemanticPruned, 0u);
-}
-
-TEST(EngineEquivalence, SemanticPruneDominatesSyntacticAtN4) {
-  // The semantic gate consults the dead-instruction summary too, so a
-  // semantic-only run refuses at least what a syntactic-only run refuses
-  // — plus the order-domain surplus. Measured at n=4 (cut 1.0 keeps the
-  // run small); the solution set must also survive the prune.
-  Machine M(MachineKind::Cmov, 4);
-  SearchOptions Base;
-  Base.Heuristic = HeuristicKind::PermCount;
-  Base.Cut = CutConfig::mult(1.0);
-  Base.FindAll = true;
-  Base.MaxLength = networkUpperBound(MachineKind::Cmov, 4);
-
-  SearchOptions Syn = Base;
-  Syn.SyntacticPrune = true;
-  SearchResult RSyn = synthesize(M, Syn);
-  ASSERT_TRUE(RSyn.Found);
-
-  SearchOptions Sem = Base;
-  Sem.SemanticPrune = true;
-  SearchResult RSem = synthesize(M, Sem);
-  ASSERT_TRUE(RSem.Found);
-
-  EXPECT_GT(RSem.Stats.SemanticPruned, 0u);
-  EXPECT_GE(RSem.Stats.SemanticPruned, RSyn.Stats.SyntacticPruned);
-
-  // Both prunes are sound: same optimal length, count, and kernel set as
-  // the unpruned run of the same configuration.
-  SearchResult RBase = synthesize(M, Base);
-  ASSERT_TRUE(RBase.Found);
-  EXPECT_EQ(RSem.OptimalLength, RBase.OptimalLength);
-  EXPECT_EQ(RSem.SolutionCount, RBase.SolutionCount);
-  EXPECT_EQ(solutionSet(M, RSem), solutionSet(M, RBase));
-  EXPECT_EQ(RSyn.SolutionCount, RBase.SolutionCount);
-}
-
-TEST(EngineEquivalence, BestFirstHonorsSemanticPrune) {
-  // The best-first engine shares the admits() gate: with the admissible
-  // heuristic the found kernel stays minimal, and the prune counter moves.
-  Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::NeededInstrs;
-  Opts.Cut = CutConfig::none();
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-  Opts.SemanticPrune = true;
-  SearchResult R = synthesize(M, Opts);
-  ASSERT_TRUE(R.Found);
-  EXPECT_EQ(R.OptimalLength, 11u);
-  EXPECT_GT(R.Stats.SemanticPruned, 0u);
-  EXPECT_TRUE(R.Stats.LevelStates.empty()); // Layered-engine counter only.
+  EXPECT_EQ(Seq.Stats.SyntacticPruned, Par.Stats.SyntacticPruned);
 }
 
 TEST(EngineEquivalence, SymmetryReducePreservesThe5602SolutionDag) {
@@ -262,8 +228,7 @@ TEST(EngineEquivalence, SymmetryReducePreservesThe5602SolutionDag) {
   // counters across modes (the merge is a pre-dedup per-candidate
   // property, so it cannot depend on the thread count).
   Machine M(MachineKind::Cmov, 3);
-  SearchResult Baseline =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
+  const SearchResult &Baseline = sequentialN3();
   ASSERT_TRUE(Baseline.Found);
   ASSERT_EQ(Baseline.SolutionCount, 5602u);
   const std::set<std::string> Reference = solutionSet(M, Baseline);
@@ -299,33 +264,6 @@ TEST(EngineEquivalence, SymmetryReducePreservesThe5602SolutionDag) {
       EXPECT_EQ(R.Stats.SymmetryMerged, ReferenceMerged) << Mo.Name;
     }
   }
-
-  // Composed with the order-domain prune: the set survives, and the
-  // combined run stores no more states per level than the semantic prune
-  // alone (the acceptance comparison; empirical, not a theorem — the
-  // order meet over a merged orbit can be weaker than either member's,
-  // see DESIGN.md section 11).
-  SearchOptions SemOnly = findAllConfig(MachineKind::Cmov, 3, kModes[0]);
-  SemOnly.SemanticPrune = true;
-  SearchResult RSem = synthesize(M, SemOnly);
-  ASSERT_TRUE(RSem.Found);
-
-  SearchOptions Both = SemOnly;
-  Both.SymmetryReduce = true;
-  SearchResult RBoth = synthesize(M, Both);
-  ASSERT_TRUE(RBoth.Found);
-  EXPECT_EQ(RBoth.SolutionCount, 5602u);
-  EXPECT_EQ(solutionSet(M, RBoth), Reference);
-  EXPECT_GT(RBoth.Stats.SymmetryMerged, 0u);
-  EXPECT_GT(RBoth.Stats.SemanticPruned, 0u);
-  ASSERT_EQ(RBoth.Stats.LevelStates.size(), RSem.Stats.LevelStates.size());
-  bool Shrank = false;
-  for (size_t L = 0; L != RBoth.Stats.LevelStates.size(); ++L) {
-    EXPECT_LE(RBoth.Stats.LevelStates[L], RSem.Stats.LevelStates[L])
-        << "level " << L;
-    Shrank |= RBoth.Stats.LevelStates[L] < RSem.Stats.LevelStates[L];
-  }
-  EXPECT_TRUE(Shrank);
 }
 
 TEST(EngineEquivalence, SymmetryReducePreservesCutRunsExactly) {
@@ -361,19 +299,13 @@ TEST(EngineEquivalence, SymmetryReduceComposesAtN4) {
   // the full-set comparison lives in the n=3 tests; here the quotient
   // must preserve the exact path count (the DAG's Ways sum, which is not
   // capped), lift every reconstructed kernel back to a correct program,
-  // merge something, and — alone and composed with the semantic prune —
-  // store no more states per level than its no-symmetry counterpart.
+  // merge something, and store no more states per level than its
+  // no-symmetry counterpart.
   Machine M(MachineKind::Cmov, 4);
-  SearchOptions Base;
-  Base.Heuristic = HeuristicKind::PermCount;
-  Base.Cut = CutConfig::mult(1.0);
-  Base.FindAll = true;
-  Base.MaxLength = networkUpperBound(MachineKind::Cmov, 4);
-
-  SearchResult RBase = synthesize(M, Base);
+  const SearchResult &RBase = cutOneN4();
   ASSERT_TRUE(RBase.Found);
 
-  SearchOptions SymOpts = Base;
+  SearchOptions SymOpts = cutOneN4Config();
   SymOpts.SymmetryReduce = true;
   SearchResult RSym = synthesize(M, SymOpts);
   ASSERT_TRUE(RSym.Found);
@@ -394,22 +326,6 @@ TEST(EngineEquivalence, SymmetryReduceComposesAtN4) {
   const size_t Stride = std::max<size_t>(1, RSym.Solutions.size() / 500);
   for (size_t I = 0; I < RSym.Solutions.size(); I += Stride)
     ASSERT_TRUE(isCorrectKernel(M, RSym.Solutions[I])) << "solution " << I;
-
-  SearchOptions Sem = Base;
-  Sem.SemanticPrune = true;
-  SearchResult RSem = synthesize(M, Sem);
-  ASSERT_TRUE(RSem.Found);
-
-  SearchOptions BothOpts = Sem;
-  BothOpts.SymmetryReduce = true;
-  SearchResult RBoth = synthesize(M, BothOpts);
-  ASSERT_TRUE(RBoth.Found);
-  EXPECT_EQ(RBoth.SolutionCount, RBase.SolutionCount);
-  EXPECT_GT(RBoth.Stats.SymmetryMerged, 0u);
-  ASSERT_EQ(RBoth.Stats.LevelStates.size(), RSem.Stats.LevelStates.size());
-  for (size_t L = 0; L != RBoth.Stats.LevelStates.size(); ++L)
-    EXPECT_LE(RBoth.Stats.LevelStates[L], RSem.Stats.LevelStates[L])
-        << "level " << L;
 }
 
 TEST(EngineEquivalence, CompressedFrontierPreservesThe5602SolutionDag) {
@@ -419,8 +335,7 @@ TEST(EngineEquivalence, CompressedFrontierPreservesThe5602SolutionDag) {
   // bit-identical to the uncompressed baseline in every execution mode
   // (dedup probes read the same rows back through the decode layer).
   Machine M(MachineKind::Cmov, 3);
-  SearchResult Baseline =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
+  const SearchResult &Baseline = sequentialN3();
   ASSERT_TRUE(Baseline.Found);
   ASSERT_EQ(Baseline.SolutionCount, 5602u);
   const std::set<std::string> Reference = solutionSet(M, Baseline);
@@ -462,8 +377,7 @@ TEST(EngineEquivalence, CompressedSpillPreservesThe5602SolutionDag) {
   }
 
   Machine M(MachineKind::Cmov, 3);
-  SearchResult Baseline =
-      synthesize(M, findAllConfig(MachineKind::Cmov, 3, kModes[0]));
+  const SearchResult &Baseline = sequentialN3();
   ASSERT_TRUE(Baseline.Found);
   const std::set<std::string> Reference = solutionSet(M, Baseline);
 
@@ -483,10 +397,10 @@ TEST(EngineEquivalence, CompressedSpillPreservesThe5602SolutionDag) {
   }
 }
 
-TEST(EngineEquivalence, CompressionComposesWithSymmetryAndSemanticPrune) {
-  // The full stack: compression + spill + symmetry quotient + order-domain
-  // prune, against the symmetry+semantic baseline — the storage tiers must
-  // be invisible to both reductions.
+TEST(EngineEquivalence, CompressionComposesWithSymmetry) {
+  // The full stack: compression + spill + symmetry quotient, against the
+  // symmetry baseline — the storage tiers must be invisible to the
+  // reduction.
   std::string Dir = ::testing::TempDir();
   {
     std::string Probe = Dir + "/sks-equiv-probe3";
@@ -500,7 +414,6 @@ TEST(EngineEquivalence, CompressionComposesWithSymmetryAndSemanticPrune) {
   Machine M(MachineKind::Cmov, 3);
   SearchOptions Base = findAllConfig(MachineKind::Cmov, 3, kModes[0]);
   Base.SymmetryReduce = true;
-  Base.SemanticPrune = true;
   SearchResult RBase = synthesize(M, Base);
   ASSERT_TRUE(RBase.Found);
   ASSERT_EQ(RBase.SolutionCount, 5602u);
@@ -509,7 +422,6 @@ TEST(EngineEquivalence, CompressionComposesWithSymmetryAndSemanticPrune) {
   for (const Mode &Mo : kModes) {
     SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
     Opts.SymmetryReduce = true;
-    Opts.SemanticPrune = true;
     Opts.CompressFrontier = true;
     Opts.SpillDir = Dir;
     Opts.SpillThresholdBytes = 0;
@@ -519,7 +431,6 @@ TEST(EngineEquivalence, CompressionComposesWithSymmetryAndSemanticPrune) {
     EXPECT_EQ(solutionSet(M, R), Reference) << Mo.Name;
     EXPECT_EQ(R.Stats.LevelStates, RBase.Stats.LevelStates) << Mo.Name;
     EXPECT_GT(R.Stats.SymmetryMerged, 0u) << Mo.Name;
-    EXPECT_GT(R.Stats.SemanticPruned, 0u) << Mo.Name;
     EXPECT_GT(R.Stats.SpilledBytes, 0u) << Mo.Name;
   }
 }
@@ -554,15 +465,14 @@ TEST(EngineEquivalence, SymmetryReduceUnderThreadsSmoke) {
   // The tsan-labelled symmetry subset (tests/CMakeLists.txt): config (III)
   // plus the quotient keeps every run in the tens of milliseconds even
   // instrumented, while driving the witness-carrying candidates and the
-  // renamed order states through the threaded expansion and the sharded
-  // parallel merge.
+  // renamed prefix summaries through the threaded expansion and the
+  // sharded parallel merge.
   Machine M(MachineKind::Cmov, 3);
   std::set<std::string> Reference;
   uint64_t ReferenceCount = 0;
   for (const Mode &Mo : kModes) {
     SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
     Opts.Cut = CutConfig::mult(1.0);
-    Opts.SemanticPrune = true;
     Opts.SymmetryReduce = true;
     SearchResult R = synthesize(M, Opts);
     ASSERT_TRUE(R.Found) << Mo.Name;
@@ -581,7 +491,7 @@ TEST(EngineEquivalence, SymmetryReduceUnderThreadsSmoke) {
 
 TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
   // The goal-predicate generalization under every execution mode, composed
-  // with the symmetry quotient and the order-domain prune: the select-1
+  // with the symmetry quotient: the select-1
   // (minimum) and top-1 (maximum) all-solutions runs at n=3 each have
   // exactly 4 optimal kernels of length 4 (measured; two compare orders
   // times two cmov argument orders), and the reconstructed sets must be
@@ -601,7 +511,6 @@ TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
     for (const Mode &Mo : kModes) {
       SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
       Opts.SymmetryReduce = true;
-      Opts.SemanticPrune = true;
       SearchResult R = synthesize(M, Opts);
       ASSERT_TRUE(R.Found) << C.Name << " " << Mo.Name;
       EXPECT_EQ(R.OptimalLength, 4u) << C.Name << " " << Mo.Name;
@@ -628,7 +537,6 @@ TEST(EngineEquivalence, GoalSearchUnderThreadsSmoke) {
   for (const Mode &Mo : kModes) {
     SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
     Opts.SymmetryReduce = true;
-    Opts.SemanticPrune = true;
     SearchResult R = synthesize(M, Opts);
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 4u) << Mo.Name;
@@ -640,31 +548,33 @@ TEST(EngineEquivalence, GoalSearchUnderThreadsSmoke) {
   }
 }
 
-TEST(EngineEquivalence, SemanticPruneUnderThreadsSmoke) {
-  // The tsan-labelled ctest subset (tests/CMakeLists.txt) runs this
-  // instead of the minute-scale soundness pins above: config (III) —
+TEST(EngineEquivalence, SyntacticPruneUnderThreadsSmoke) {
+  // The tsan_engine_equivalence ctest entry (tests/CMakeLists.txt) runs
+  // this instead of the minute-scale pins above: config (III) —
   // perm-count heuristic, viability, cut k=1 — keeps each run in the
   // tens of milliseconds even instrumented, while still driving the
-  // per-node order states through the threaded expansion and the
-  // sharded parallel merge.
+  // per-node prefix summaries through the threaded expansion and the
+  // sharded parallel merge. Every mode refuses the same expansions and
+  // stores the same states.
   Machine M(MachineKind::Cmov, 3);
   std::set<std::string> Reference;
-  uint64_t ReferenceCount = 0;
+  SearchResult First;
   for (const Mode &Mo : kModes) {
     SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
     Opts.Cut = CutConfig::mult(1.0);
-    Opts.SyntacticPrune = true;
-    Opts.SemanticPrune = true;
     SearchResult R = synthesize(M, Opts);
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
-    EXPECT_GT(R.Stats.SemanticPruned, 0u) << Mo.Name;
+    EXPECT_GT(R.Stats.SyntacticPruned, 0u) << Mo.Name;
     std::set<std::string> Set = solutionSet(M, R);
     if (Reference.empty()) {
       Reference = std::move(Set);
-      ReferenceCount = R.SolutionCount;
+      First = std::move(R);
     } else {
-      EXPECT_EQ(R.SolutionCount, ReferenceCount) << Mo.Name;
+      EXPECT_EQ(R.SolutionCount, First.SolutionCount) << Mo.Name;
+      EXPECT_EQ(R.Stats.SyntacticPruned, First.Stats.SyntacticPruned)
+          << Mo.Name;
+      EXPECT_EQ(R.Stats.LevelStates, First.Stats.LevelStates) << Mo.Name;
       EXPECT_EQ(Set, Reference) << Mo.Name;
     }
   }

@@ -167,7 +167,6 @@ TEST(Search, TimeoutIsReported) {
   Opts.Heuristic = HeuristicKind::None; // Slow on purpose.
   Opts.MaxLength = 20;
   Opts.UseViability = false;
-  Opts.UseDistanceTable = false;
   Opts.TimeoutSeconds = 0.2;
   SearchResult R = synthesize(M, Opts);
   EXPECT_FALSE(R.Found);
@@ -200,6 +199,29 @@ TEST(Search, BatchExpansionAgreesWithSequential) {
   SearchResult Batch = synthesize(M, Opts);
   ASSERT_TRUE(Plain.Found && Batch.Found);
   EXPECT_EQ(Batch.SolutionCount, Plain.SolutionCount);
+}
+
+TEST(Search, BatchExpansionHonorsActionFilter) {
+  // Instruction-major batch expansion passes every node through the same
+  // action gate as node-major expansion, so with the section 3.2 filter on
+  // both loop orders generate the same candidates: equal per-level state
+  // counts and equal filter counters, not just an equal solution count.
+  Machine M(MachineKind::Cmov, 3);
+  SearchOptions Opts;
+  Opts.FindAll = true;
+  Opts.UseActionFilter = true;
+  Opts.Cut = CutConfig::mult(1.0);
+  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
+  Opts.MaxSolutionsKept = 0;
+  SearchResult Sequential = synthesize(M, Opts);
+  Opts.BatchExpansion = true;
+  SearchResult Batch = synthesize(M, Opts);
+  ASSERT_TRUE(Sequential.Found && Batch.Found);
+  EXPECT_GT(Sequential.Stats.ActionsFiltered, 0u);
+  EXPECT_EQ(Batch.Stats.ActionsFiltered, Sequential.Stats.ActionsFiltered);
+  EXPECT_EQ(Batch.Stats.LevelStates, Sequential.Stats.LevelStates);
+  EXPECT_EQ(Batch.Stats.StatesGenerated, Sequential.Stats.StatesGenerated);
+  EXPECT_EQ(Batch.SolutionCount, Sequential.SolutionCount);
 }
 
 TEST(Search, NetworkUpperBoundsMatchKnownNetworks) {

@@ -31,7 +31,7 @@ fi
 # First-party translation units only: the compile database also contains
 # GTest/benchmark glue we do not own. find covers src/ wholesale (including
 # src/driver, src/state, and src/analysis — the abstract-interpretation
-# layer behind --semantic-prune and the symmetry quotient behind
+# layer behind the semantic lint rules and the symmetry quotient behind
 # --symmetry, plus src/cache and src/service — the kernel store and the
 # concurrent front end behind sks-serve) and the tools/ CLIs. The bench
 # tree is covered selectively: hot-path microbenchmarks that exercise

@@ -58,8 +58,6 @@ struct CliOptions {
   bool EmitAsm = false;
   bool RequireRobust = false;
   bool Schedule = false;
-  bool SyntacticPrune = false;
-  bool SemanticPrune = false;
   bool Symmetry = false;
   bool Profile = false;
   double Timeout = 0;
@@ -118,11 +116,6 @@ void usage(const char *Argv0) {
       "  --asm                   print x86-64 assembly\n"
       "  --robust                require correctness on ALL int inputs\n"
       "  --schedule              list-schedule the kernel for ILP\n"
-      "  --syntactic-prune       refuse expansions that plant dead code\n"
-      "                          (sound; preserves the optimal count)\n"
-      "  --semantic-prune        refuse expansions the order-domain\n"
-      "                          abstract interpreter proves redundant\n"
-      "                          (sound; preserves the optimal count)\n"
       "  --symmetry              quotient states by scratch-register\n"
       "                          renaming and the lt/gt flag involution\n"
       "                          (sound; solutions lifted back to original\n"
@@ -233,10 +226,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.RequireRobust = true;
     } else if (Arg == "--schedule") {
       Opts.Schedule = true;
-    } else if (Arg == "--syntactic-prune") {
-      Opts.SyntacticPrune = true;
-    } else if (Arg == "--semantic-prune") {
-      Opts.SemanticPrune = true;
     } else if (Arg == "--symmetry") {
       Opts.Symmetry = true;
     } else if (Arg == "--profile") {
@@ -493,8 +482,6 @@ int main(int Argc, char **Argv) {
     Opts.Cut = CutConfig::mult(Cli.Cut);
   Opts.MaxLength = Bound;
   Opts.FindAll = Cli.All;
-  Opts.SyntacticPrune = Cli.SyntacticPrune;
-  Opts.SemanticPrune = Cli.SemanticPrune;
   Opts.SymmetryReduce = Cli.Symmetry;
   Opts.TimeoutSeconds = Cli.Timeout;
   Opts.NumThreads = Cli.Threads;
@@ -525,12 +512,8 @@ int main(int Argc, char **Argv) {
               R.OptimalLength, R.Stats.StatesExpanded,
               R.Stats.PeakStateBytes,
               formatDuration(Timer.seconds()).c_str());
-  if (Cli.SyntacticPrune)
-    std::printf("; syntactic prune: %zu expansions refused\n",
-                R.Stats.SyntacticPruned);
-  if (Cli.SemanticPrune)
-    std::printf("; semantic prune: %zu expansions refused\n",
-                R.Stats.SemanticPruned);
+  std::printf("; syntactic prune: %zu expansions refused\n",
+              R.Stats.SyntacticPruned);
   if (Cli.Symmetry)
     std::printf("; symmetry quotient: %zu candidates merged onto canonical "
                 "representatives\n",
