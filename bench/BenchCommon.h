@@ -237,14 +237,12 @@ inline SynthOutcome runBackendRow(const Backend &B, const SynthRequest &Req,
 
 /// Collects benchmark result rows and writes them as a JSON array, one
 /// object per configuration: {"config", "goal", "seconds", "states",
-/// "peak_bytes",
-/// "resident_peak_bytes", "compressed_bytes", "spilled_bytes",
-/// "decode_nanos", "found", "length", "timed_out", "memory_limited",
+/// "peak_bytes", "found", "length", "timed_out", "memory_limited",
 /// "syntactic_pruned", "symmetry_merged"} plus build
 /// attribution ("git_sha", "compiler", "batch_simd", "canon_simd") and —
 /// when SearchOptions::ProfilePipeline was on — the per-stage "*_ns"
-/// counters. peak_bytes is resident plus spilled; resident_peak_bytes
-/// excludes what lives on disk. timed_out/memory_limited make a
+/// counters. peak_bytes is the state-store high-water mark
+/// (SearchStats::PeakResidentBytes). timed_out/memory_limited make a
 /// found=false row a machine-readable infeasibility certificate: they
 /// name the budget that bound. Used by CI and the smoke ctest entries to
 /// assert on machine-readable output instead of scraping tables, and to
@@ -256,9 +254,7 @@ public:
   void add(const std::string &Config, const SearchResult &R,
            const std::string &Goal = "sort") {
     Rows.push_back(Row{Config, Goal, R.Stats.Seconds, R.Stats.StatesExpanded,
-                       R.Stats.PeakStateBytes, R.Stats.PeakResidentBytes,
-                       R.Stats.CompressedBytes, R.Stats.SpilledBytes,
-                       R.Stats.DecodeNanos, R.Found,
+                       R.Stats.PeakResidentBytes, R.Found,
                        R.Found ? R.OptimalLength : 0, R.Stats.TimedOut,
                        R.Stats.MemoryLimited, R.Stats.SyntacticPruned,
                        R.Stats.SymmetryMerged,
@@ -289,9 +285,6 @@ public:
                    "  {\"config\": \"%s\", \"goal\": \"%s\", "
                    "\"seconds\": %.6f, "
                    "\"states\": %zu, \"peak_bytes\": %zu, "
-                   "\"resident_peak_bytes\": %zu, "
-                   "\"compressed_bytes\": %zu, \"spilled_bytes\": %zu, "
-                   "\"decode_nanos\": %llu, "
                    "\"found\": %s, \"length\": %u, "
                    "\"timed_out\": %s, \"memory_limited\": %s, "
                    "\"syntactic_pruned\": %zu, \"symmetry_merged\": %zu, "
@@ -299,10 +292,7 @@ public:
                    "\"batch_simd\": %s, \"canon_simd\": %s",
                    jsonEscaped(R.Config).c_str(),
                    jsonEscaped(R.Goal).c_str(), R.Seconds, R.States,
-                   R.PeakBytes, R.ResidentPeakBytes, R.CompressedBytes,
-                   R.SpilledBytes,
-                   static_cast<unsigned long long>(R.DecodeNanos),
-                   R.Found ? "true" : "false", R.Length,
+                   R.PeakBytes, R.Found ? "true" : "false", R.Length,
                    R.TimedOut ? "true" : "false",
                    R.MemoryLimited ? "true" : "false", R.SynPruned,
                    R.SymMerged, jsonEscaped(SKS_GIT_SHA).c_str(),
@@ -334,10 +324,6 @@ private:
     double Seconds;
     size_t States;
     size_t PeakBytes;
-    size_t ResidentPeakBytes;
-    size_t CompressedBytes;
-    size_t SpilledBytes;
-    uint64_t DecodeNanos;
     bool Found;
     unsigned Length;
     bool TimedOut;

@@ -159,7 +159,7 @@ int main(int argc, char **argv) {
       TimeText += " (VERIFY FAILED)";
     char PeakMB[32];
     std::snprintf(PeakMB, sizeof(PeakMB), "%.1f",
-                  static_cast<double>(R.Stats.PeakStateBytes) / (1 << 20));
+                  static_cast<double>(R.Stats.PeakResidentBytes) / (1 << 20));
     T.row()
         .cell(Config.Name)
         .cell(TimeText)

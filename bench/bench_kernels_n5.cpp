@@ -6,10 +6,9 @@
 //
 // Regenerates the n = 5 table of section 5.3 (enum vs enum_worst vs
 // alphadev) and records the n = 5 synthesis attempt itself. Synthesizing
-// n = 5 took the paper 11 minutes on 16 cores; on this single-core
-// container the attempt runs the layered engine with the compressed,
-// spillable frontier under an explicit time + resident-memory budget and
-// always emits a machine-readable row: a success records the kernel, a
+// n = 5 took the paper 11 minutes on 16 cores; here the attempt runs the
+// layered engine under an explicit time + state-memory budget and always
+// emits a machine-readable row: a success records the kernel, a
 // failure records WHICH budget bound (timed_out / memory_limited) — the
 // infeasibility certificate BENCH_headline.json tracks. SKS_FULL=1 raises
 // the budget to paper scale; --smoke shrinks it to ctest scale.
@@ -21,29 +20,8 @@
 #include "kernels/ReferenceKernels.h"
 #include "verify/Verify.h"
 
-#include <cstdlib>
-#include <unistd.h>
-
 using namespace sks;
 using namespace sks::bench;
-
-namespace {
-
-/// Creates a throwaway spill directory under TMPDIR (default /tmp).
-/// \returns the path, or "" when the filesystem is read-only — the
-/// attempt then runs compressed but fully resident.
-std::string makeSpillDir() {
-  const char *Base = std::getenv("TMPDIR");
-  std::string Template =
-      std::string(Base && *Base ? Base : "/tmp") + "/sks-n5-spill-XXXXXX";
-  std::vector<char> Buf(Template.begin(), Template.end());
-  Buf.push_back('\0');
-  if (!mkdtemp(Buf.data()))
-    return "";
-  return std::string(Buf.data());
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   BenchArgs Args = parseBenchArgs(Argc, Argv);
@@ -53,17 +31,12 @@ int main(int Argc, char **Argv) {
   Machine M(MachineKind::Cmov, N);
   JsonResultWriter Json;
 
-  // The synthesis attempt: layered engine, compressed frontier, spill
-  // tier, explicit budgets. Every tier must fit the machine it runs on —
-  // the full run matches the paper's 4 h budget, the default run is a
-  // one-minute datapoint, the smoke run just proves the path executes.
+  // The synthesis attempt: layered engine, explicit budgets. Every tier
+  // must fit the machine it runs on — the full run matches the paper's 4 h
+  // budget, the default run is a one-minute datapoint, the smoke run just
+  // proves the path executes.
   SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, N);
   Opts.Layered = true;
-  Opts.CompressFrontier = true;
-  std::string SpillDir = makeSpillDir();
-  Opts.SpillDir = SpillDir;
-  Opts.SpillThresholdBytes = 1u << 20; // Keep 1 MiB compressed resident —
-                                       // every budget tier must reach disk.
   if (Args.Smoke) {
     Opts.TimeoutSeconds = 2.0;
     Opts.MaxStateBytes = 256u << 20;
@@ -76,21 +49,15 @@ int main(int Argc, char **Argv) {
   }
 
   SearchResult R = synthesize(M, Opts);
-  Json.add(Args.Smoke ? "enum_n5_budget_compressed_smoke"
-                      : "enum_n5_budget_compressed",
-           R);
-  std::printf("n=5 attempt: %s in %s — states=%zu peak=%zu resident=%zu "
-              "compressed=%zu spilled=%zu decodes=%.1f ms\n",
+  Json.add(Args.Smoke ? "enum_n5_budget_smoke" : "enum_n5_budget", R);
+  std::printf("n=5 attempt: %s in %s — levels=%zu states=%zu peak=%zu\n",
               R.Found                 ? "FOUND"
-              : R.Stats.MemoryLimited ? "resident budget exhausted"
+              : R.Stats.MemoryLimited ? "state budget exhausted"
               : R.Stats.TimedOut      ? "timed out"
                                       : "bound exhausted",
-              formatDuration(R.Stats.Seconds).c_str(), R.Stats.StatesExpanded,
-              R.Stats.PeakStateBytes, R.Stats.PeakResidentBytes,
-              R.Stats.CompressedBytes, R.Stats.SpilledBytes,
-              R.Stats.DecodeNanos / 1e6);
-  if (!SpillDir.empty())
-    ::rmdir(SpillDir.c_str()); // Spill files are unlinked at creation.
+              formatDuration(R.Stats.Seconds).c_str(),
+              R.Stats.LevelStates.size(), R.Stats.StatesExpanded,
+              R.Stats.PeakResidentBytes);
 
   Program EnumKernel = sortingNetworkCmov(N);
   std::string EnumLabel = "enum (budget; network stand-in)";

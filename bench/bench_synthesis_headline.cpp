@@ -26,25 +26,11 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <unistd.h>
 
 using namespace sks;
 using namespace sks::bench;
 
 namespace {
-
-/// Throwaway spill directory under TMPDIR (default /tmp); "" on failure
-/// (read-only filesystem) — the attempt then stays resident.
-std::string makeSpillDir() {
-  const char *Base = std::getenv("TMPDIR");
-  std::string Template =
-      std::string(Base && *Base ? Base : "/tmp") + "/sks-headline-XXXXXX";
-  std::vector<char> Buf(Template.begin(), Template.end());
-  Buf.push_back('\0');
-  if (!mkdtemp(Buf.data()))
-    return "";
-  return std::string(Buf.data());
-}
 
 /// Nanoseconds per validateJitKernel call on \p P (median-free small-rep
 /// average: the validator is deterministic, so 5 reps suffice). Returns 0
@@ -153,34 +139,27 @@ int main(int argc, char **argv) {
   }
 
   // The n = 5 budget row: even when the full synthesis is gated, record a
-  // bounded attempt with the compressed, spillable frontier so the
-  // trajectory file carries either the first n = 5 datapoint or a
-  // machine-readable infeasibility certificate (found=false plus
-  // timed_out/memory_limited naming the budget that bound).
+  // bounded layered attempt so the trajectory file carries either the
+  // first n = 5 datapoint or a machine-readable infeasibility certificate
+  // (found=false plus timed_out/memory_limited naming the budget that
+  // bound).
   if (!Args.Smoke) {
     Machine M5(MachineKind::Cmov, 5);
     SearchOptions Opts = bestEnumConfig(MachineKind::Cmov, 5);
     Opts.Layered = true;
-    Opts.CompressFrontier = true;
-    std::string SpillDir = makeSpillDir();
-    Opts.SpillDir = SpillDir;
-    Opts.SpillThresholdBytes = 1u << 20; // Spill beyond 1 MiB: the budget
-                                         // run must exercise the disk tier.
     Opts.TimeoutSeconds = isFullRun() ? 4 * 3600.0 : 120.0;
     Opts.MaxStateBytes = isFullRun() ? (64ull << 30) : (2ull << 30);
     SearchResult R = synthesize(M5, Opts);
-    Json.add("enum_n5_budget_compressed", R);
-    std::printf("n=5 budget attempt (compressed+spill): %s in %s — "
-                "states=%zu resident-peak=%zu spilled-peak=%zu\n\n",
-                R.Found               ? "FOUND"
-                : R.Stats.MemoryLimited ? "resident budget exhausted"
+    Json.add("enum_n5_budget", R);
+    std::printf("n=5 budget attempt: %s in %s — levels=%zu states=%zu "
+                "peak=%zu\n\n",
+                R.Found                 ? "FOUND"
+                : R.Stats.MemoryLimited ? "state budget exhausted"
                 : R.Stats.TimedOut      ? "timed out"
                                         : "bound exhausted",
                 formatDuration(R.Stats.Seconds).c_str(),
-                R.Stats.StatesExpanded, R.Stats.PeakResidentBytes,
-                R.Stats.SpilledBytes);
-    if (!SpillDir.empty())
-      ::rmdir(SpillDir.c_str()); // Spill files are unlinked at creation.
+                R.Stats.LevelStates.size(), R.Stats.StatesExpanded,
+                R.Stats.PeakResidentBytes);
   }
 
   Table T({"Time", "n = 3", "n = 4", "n = 5"});

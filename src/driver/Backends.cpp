@@ -196,7 +196,7 @@ protected:
     Outcome.Stats.emplace_back("states_expanded", R.Stats.StatesExpanded);
     Outcome.Stats.emplace_back("states_generated", R.Stats.StatesGenerated);
     Outcome.Stats.emplace_back("dedup_hits", R.Stats.DedupHits);
-    Outcome.Stats.emplace_back("peak_state_bytes", R.Stats.PeakStateBytes);
+    Outcome.Stats.emplace_back("peak_state_bytes", R.Stats.PeakResidentBytes);
     return Outcome;
   }
 };

@@ -67,9 +67,9 @@ std::string sks::pddlDomain(const Machine &M) {
             std::string Cond = valAtom(Ex, Ins.Src, VS) + " " +
                                valAtom(Ex, Ins.Dst, VD);
             if (Ins.Op == Opcode::CMovL)
-              Cond += " " + flagAtom("lt", Ex);
+              Cond.append(" ").append(flagAtom("lt", Ex));
             if (Ins.Op == Opcode::CMovG)
-              Cond += " " + flagAtom("gt", Ex);
+              Cond.append(" ").append(flagAtom("gt", Ex));
             Out += "      (when (and " + Cond + ") (and " +
                    valAtom(Ex, Ins.Dst, VS) + " (not " +
                    valAtom(Ex, Ins.Dst, VD) + ")))\n";

@@ -106,10 +106,8 @@ SearchResult detail::bestFirstSearch(const Machine &M,
     return Store.bytesUsed() + Arena.capacity() * sizeof(Node);
   };
   auto NotePeak = [&] {
-    // One flat level, nothing sealed or spilled: resident == total.
-    Result.Stats.PeakStateBytes =
-        std::max(Result.Stats.PeakStateBytes, StateBytes());
-    Result.Stats.PeakResidentBytes = Result.Stats.PeakStateBytes;
+    Result.Stats.PeakResidentBytes =
+        std::max(Result.Stats.PeakResidentBytes, StateBytes());
   };
   NotePeak();
 

@@ -44,15 +44,6 @@
 // solution count are bit-identical to the sequential engine's for any
 // thread count.
 //
-// Frontier lifecycle (SearchOptions::CompressFrontier): once level G has
-// been expanded and level G+1 committed, G's rows are only ever read
-// again by the committed-level dedup probe below (reconstruct() walks
-// parent edges, never rows) — so the run loop retires it:
-// StateStore::retireLevel seals the arena into delta/varint blocks and
-// optionally spills the oldest sealed blobs to disk. Probes then go
-// through StateStore::rowsEqual with one DecodeCache per worker, keeping
-// phase 1 synchronization-free.
-//
 //===----------------------------------------------------------------------===//
 
 #include "search/Expansion.h"
@@ -132,11 +123,7 @@ public:
                 const DistanceTable *DT)
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
         Sym(makeSymmetryTable(M, Opts)), Pipeline(M, Opts, DT, Cuts, Sym.get()),
-        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1),
-        Caches(Pool.size()) {
-    Store.configureFrontier(
-        {Opts.CompressFrontier, Opts.SpillDir, Opts.SpillThresholdBytes});
-  }
+        Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1) {}
 
   SearchResult run();
 
@@ -156,26 +143,13 @@ private:
   const uint32_t *rowsOf(unsigned Level, const LNode &N) const {
     return Store.arena(Level).rows(N.Rows);
   }
-  /// Resident bytes of everything the run keeps: arenas (flat or
-  /// compressed) + index + nodes. Spill-file bytes are NOT here — this is
-  /// what MaxStateBytes budgets, so spilling relieves the budget.
+  /// Bytes of everything the run keeps: arenas + index + nodes. This is
+  /// what MaxStateBytes budgets.
   size_t stateBytes() const { return Store.bytesUsed() + NodeBytes; }
-  size_t cacheBytes() const {
-    size_t Bytes = 0;
-    for (const DecodeCache &C : Caches)
-      Bytes += C.bytesUsed();
-    return Bytes;
-  }
-  /// Updates the resident / total high-water marks after a commit point.
-  void notePeaks(SearchResult &Result) const {
-    const size_t Resident = stateBytes() + cacheBytes();
-    const FrontierCounters &FC = Store.frontierCounters();
+  /// Updates the high-water mark after a commit point.
+  void notePeak(SearchResult &Result) const {
     Result.Stats.PeakResidentBytes =
-        std::max(Result.Stats.PeakResidentBytes, Resident);
-    Result.Stats.SpilledBytes =
-        std::max(Result.Stats.SpilledBytes, FC.SpilledBytes);
-    Result.Stats.PeakStateBytes =
-        std::max(Result.Stats.PeakStateBytes, Resident + FC.SpilledBytes);
+        std::max(Result.Stats.PeakResidentBytes, stateBytes());
   }
   void recordAbort(SearchResult &Result, uint32_t Reason) const {
     Result.Stats.TimedOut = true;
@@ -192,10 +166,6 @@ private:
   std::unique_ptr<SymmetryTable> Sym;
   CandidatePipeline Pipeline;
   ThreadPool Pool;
-  /// One decode cache per pool worker (indexed by worker id): sealed-level
-  /// dedup probes decode compressed blocks through these, so phase 1 stays
-  /// synchronization-free and the decode stats sum across workers.
-  std::vector<DecodeCache> Caches;
   Stopwatch Timer;
   StateStore Store;
   std::vector<std::vector<LNode>> Levels;
@@ -414,11 +384,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
                    static_cast<double>(Levels[ChildG - 1].size());
 
   // Phase 1: per-shard dedup/DAG-merge. Only shard-local state is written;
-  // committed levels and the previous level's Ways are read-only (sealed
-  // arenas decode through the worker's own cache). Shards are seeded to
-  // the work-stealing deques in descending candidate-count order — LPT
-  // scheduling with stealing as the correction, replacing the shared
-  // dynamic cursor that hash-skewed shard sizes used to contend on.
+  // committed levels and the previous level's Ways are read-only. Shards
+  // are seeded to the work-stealing deques in descending candidate-count
+  // order — LPT scheduling with stealing as the correction, replacing the
+  // shared dynamic cursor that hash-skewed shard sizes used to contend on.
   const std::vector<LNode> &Prev = Levels[ChildG - 1];
   std::vector<ShardMerge> Shards(kNumShards);
   std::atomic<uint32_t> Abort{AbortNone};
@@ -439,7 +408,6 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
   Pool.parallelForTasks(
       MergeOrder, [&](uint32_t Shard, unsigned W) {
         const unsigned S = Shard;
-        DecodeCache &Cache = Caches[W];
         ShardMerge &Sh = Shards[S];
         Sh.Nodes.reserve(ShardCount[S] / 2 + 8);
         size_t Seen = 0, LastStates = 0, LastBytes = 0;
@@ -485,13 +453,12 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
 
             // Committed-level probe: any hit is a strictly shallower
             // rediscovery (this level is not committed yet) — never on a
-            // minimal kernel, so only count it. Retired levels decode
-            // through this worker's cache (StateStore::rowsEqual).
+            // minimal kernel, so only count it.
             uint64_t Hit =
                 Store.shard(S).find(C.Hash, [&](uint64_t P) {
                   unsigned L = refLevel(P);
                   const LNode &N = Levels[L][ShardBases[L][S] + refLocal(P)];
-                  return Store.rowsEqual(L, N.Rows, CRows, C.RowLen, Cache);
+                  return Store.arena(L).equals(N.Rows, CRows, C.RowLen);
                 });
             if (Hit != IndexShard::kNotFound) {
               ++Sh.DedupHits;
@@ -670,7 +637,7 @@ SearchResult LayeredEngine::run() {
   Levels.emplace_back().push_back(std::move(Root));
   ShardBases.push_back({});
   NodeBytes += Levels[0].capacity() * sizeof(LNode);
-  notePeaks(Result);
+  notePeak(Result);
   Result.Stats.LevelStates.push_back(Levels[0].size());
 
   double NextTrace = Opts.TraceIntervalSeconds;
@@ -712,14 +679,7 @@ SearchResult LayeredEngine::run() {
     StoredStates += Levels[ChildG].size();
     Result.Stats.LevelStates.push_back(Levels[ChildG].size());
     FinalLevel = ChildG;
-    notePeaks(Result);
-    // Level G has left the expansion window: the only reads it will ever
-    // see again are dedup probes, which go through the decode layer — so
-    // compress (and maybe spill) it. After a solution is found nothing
-    // reads retired rows at all (reconstruct walks parent edges), so
-    // skip the final seal. notePeaks above already charged the peak.
-    if (!Found)
-      Store.retireLevel(G);
+    notePeak(Result);
     MaybeTrace(Levels[ChildG].size());
   }
 
@@ -744,16 +704,6 @@ SearchResult LayeredEngine::run() {
                                         Levels[FinalLevel].size(),
                                         Result.SolutionCount});
   }
-  // Frontier lifecycle counters: compression totals from the store, decode
-  // work summed over the per-worker caches.
-  const FrontierCounters &FC = Store.frontierCounters();
-  Result.Stats.CompressedBytes = FC.CompressedBytes;
-  Result.Stats.CompressedRawBytes = FC.CompressedRawBytes;
-  for (const DecodeCache &C : Caches) {
-    Result.Stats.DecodeNanos += C.DecodeNanos;
-    Result.Stats.BlocksDecoded += C.BlocksDecoded;
-  }
-  notePeaks(Result);
   Result.Stats.Seconds = Timer.seconds();
   return Result;
 }

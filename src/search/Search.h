@@ -133,21 +133,6 @@ struct SearchOptions {
   /// level arena at once. Same action gate, budget checks, and per-level
   /// state counts as node-major expansion; only the loop order differs.
   bool BatchExpansion = false;
-  /// Layered engine: delta/varint-compress the row arena of each level as
-  /// it leaves the expansion window (its only remaining readers are dedup
-  /// probes from deeper levels, served through per-worker decode caches).
-  /// Count-preserving for any configuration: compression changes the
-  /// representation of committed rows, never their values. No effect on
-  /// the best-first engine, which keeps one flat arena.
-  bool CompressFrontier = false;
-  /// Directory for spilling compressed cold levels to disk (empty = never
-  /// spill). Requires CompressFrontier; spill files are unlinked on
-  /// creation, so they vanish on exit or crash.
-  std::string SpillDir;
-  /// With SpillDir set, spill oldest sealed levels while their resident
-  /// compressed bytes exceed this; 0 spills every sealed level
-  /// immediately.
-  size_t SpillThresholdBytes = 0;
   /// Emit a trace point every so many seconds (0 = off); for Figure 1.
   double TraceIntervalSeconds = 0;
   /// Collect the per-stage nanosecond counters of the expansion pipeline
@@ -187,27 +172,10 @@ struct SearchStats {
   /// expansion modes for a fixed configuration, so the equivalence tests
   /// compare it level by level. Empty for the best-first engine.
   std::vector<size_t> LevelStates;
-  /// High-water mark of total state bytes, resident plus spilled. Equals
-  /// PeakResidentBytes unless a spill directory was configured.
-  size_t PeakStateBytes = 0;
-  /// High-water mark of RESIDENT bytes: row arenas (flat or compressed) +
-  /// dedup index + node metadata + decode caches. This is what
-  /// SearchOptions::MaxStateBytes budgets, so spilling relieves the
-  /// budget while PeakStateBytes keeps the honest total.
+  /// High-water mark of state bytes: row arenas + dedup index + node
+  /// metadata, sampled at every level commit (layered) or insertion
+  /// (best-first). This is what SearchOptions::MaxStateBytes budgets.
   size_t PeakResidentBytes = 0;
-  /// High-water mark of spill-file bytes (CompressFrontier + SpillDir).
-  size_t SpilledBytes = 0;
-  /// Compressed vs. flat bytes summed over every level the frontier
-  /// sealed; CompressedRawBytes / CompressedBytes is the compression
-  /// ratio. Zero when CompressFrontier is off.
-  size_t CompressedBytes = 0;
-  size_t CompressedRawBytes = 0;
-  /// Block-decode work done by sealed-level dedup probes, summed across
-  /// workers. Collected whenever CompressFrontier is on (decodes are
-  /// microsecond-scale, so the timing is not branch-guarded like the
-  /// ProfilePipeline counters).
-  uint64_t DecodeNanos = 0;
-  size_t BlocksDecoded = 0;
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Apply covers the batched row transforms; Canon the sort + perm-count

@@ -353,8 +353,8 @@ std::string sks::responseLine(const std::string &Id, const SynthOutcome &O,
   for (size_t I = 0; I != O.Stats.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"" + jsonEscape(O.Stats[I].first) +
-           "\": " + std::to_string(O.Stats[I].second);
+    Out.append("\"").append(jsonEscape(O.Stats[I].first));
+    Out.append("\": ").append(std::to_string(O.Stats[I].second));
   }
   Out += "}}";
   return Out;

@@ -6,17 +6,7 @@
 
 #include "state/StateStore.h"
 
-#include "state/RowCodec.h"
-
-#include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <utility>
-
-#include <fcntl.h>
-#include <unistd.h>
 
 using namespace sks;
 
@@ -32,233 +22,4 @@ void IndexShard::rehash(size_t NewSize) {
       I = (I + 1) & Mask;
     Slots[I] = S;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// RowArena: sealed / spilled tiers
-//===----------------------------------------------------------------------===//
-
-RowArena::RowArena(RowArena &&O) noexcept
-    : Data(std::move(O.Data)), Blob(std::move(O.Blob)),
-      BlockOffsets(std::move(O.BlockOffsets)), WordCount(O.WordCount),
-      BlobBytes(O.BlobBytes), Sealed(O.Sealed), SpillFd(O.SpillFd) {
-  O.SpillFd = -1;
-  O.Sealed = false;
-  O.WordCount = O.BlobBytes = 0;
-}
-
-RowArena &RowArena::operator=(RowArena &&O) noexcept {
-  if (this == &O)
-    return *this;
-  if (SpillFd >= 0)
-    ::close(SpillFd);
-  Data = std::move(O.Data);
-  Blob = std::move(O.Blob);
-  BlockOffsets = std::move(O.BlockOffsets);
-  WordCount = O.WordCount;
-  BlobBytes = O.BlobBytes;
-  Sealed = O.Sealed;
-  SpillFd = O.SpillFd;
-  O.SpillFd = -1;
-  O.Sealed = false;
-  O.WordCount = O.BlobBytes = 0;
-  return *this;
-}
-
-RowArena::~RowArena() {
-  if (SpillFd >= 0)
-    ::close(SpillFd);
-}
-
-void RowArena::seal() {
-  if (Sealed)
-    return;
-  WordCount = Data.size();
-  const uint32_t NumBlocks =
-      static_cast<uint32_t>((WordCount + kBlockWords - 1) / kBlockWords);
-  BlockOffsets.reserve(NumBlocks + 1);
-  BlockOffsets.push_back(0);
-  for (uint32_t B = 0; B != NumBlocks; ++B) {
-    const size_t Begin = static_cast<size_t>(B) * kBlockWords;
-    const size_t Len = std::min<size_t>(kBlockWords, WordCount - Begin);
-    encodeRowBlock(Data.data() + Begin, Len, Blob);
-    BlockOffsets.push_back(Blob.size());
-  }
-  Blob.shrink_to_fit();
-  BlobBytes = Blob.size();
-  Sealed = true;
-  Data.clear();
-  Data.shrink_to_fit();
-}
-
-bool RowArena::spillTo(const std::string &Dir) {
-  if (!Sealed || SpillFd >= 0)
-    return false;
-  // A process-unique name; the file is unlinked immediately after open so
-  // the kernel reclaims it on close or crash — reads go through the fd.
-  static std::atomic<uint64_t> Seq{0};
-  std::string Path = Dir + "/sks-spill-" + std::to_string(::getpid()) + "-" +
-                     std::to_string(Seq.fetch_add(1)) + ".rows";
-  int Fd = ::open(Path.c_str(), O_CREAT | O_EXCL | O_RDWR | O_CLOEXEC, 0600);
-  if (Fd < 0)
-    return false;
-  ::unlink(Path.c_str());
-  size_t Off = 0;
-  while (Off < Blob.size()) {
-    ssize_t W = ::write(Fd, Blob.data() + Off, Blob.size() - Off);
-    if (W <= 0) {
-      ::close(Fd);
-      return false;
-    }
-    Off += static_cast<size_t>(W);
-  }
-  SpillFd = Fd;
-  Blob.clear();
-  Blob.shrink_to_fit();
-  return true;
-}
-
-void RowArena::decodeBlock(uint32_t Block, std::vector<uint32_t> &Out,
-                           std::vector<uint8_t> &FileBuf) const {
-  assert(Sealed && Block < blockCount() && "decode of a flat arena");
-  const uint64_t Begin = BlockOffsets[Block];
-  const size_t Size = static_cast<size_t>(BlockOffsets[Block + 1] - Begin);
-  const size_t Words = std::min<size_t>(
-      kBlockWords, WordCount - static_cast<size_t>(Block) * kBlockWords);
-  const uint8_t *Bytes;
-  if (SpillFd >= 0) {
-    FileBuf.resize(Size);
-    size_t Got = 0;
-    while (Got < Size) {
-      ssize_t R = ::pread(SpillFd, FileBuf.data() + Got, Size - Got,
-                          static_cast<off_t>(Begin + Got));
-      if (R <= 0) {
-        std::fprintf(stderr,
-                     "sks: fatal: spill file read failed (block %u)\n", Block);
-        std::abort();
-      }
-      Got += static_cast<size_t>(R);
-    }
-    Bytes = FileBuf.data();
-  } else {
-    Bytes = Blob.data() + Begin;
-  }
-  Out.resize(Words);
-  if (!decodeRowBlock(Bytes, Size, Out.data(), Words)) {
-    std::fprintf(stderr, "sks: fatal: corrupt compressed row block %u\n",
-                 Block);
-    std::abort();
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// StateStore: frontier lifecycle + mode-blind reads
-//===----------------------------------------------------------------------===//
-
-void StateStore::retireLevel(unsigned Level) {
-  if (!Frontier.Compress || Level >= Arenas.size())
-    return;
-  RowArena &A = Arenas[Level];
-  if (A.sealed())
-    return;
-  const size_t RawBytes = A.size() * sizeof(uint32_t);
-  A.seal();
-  Counters.CompressedBytes += A.compressedBytes();
-  Counters.CompressedRawBytes += RawBytes;
-  ++Counters.SealedLevels;
-  SealedResident += A.compressedBytes();
-  if (Frontier.SpillDir.empty())
-    return;
-  while (SealedResident > Frontier.SpillThresholdBytes) {
-    // Oldest-first: shallow levels are probed least (dedup hits cluster
-    // near the frontier), so they go to disk first.
-    RowArena *Oldest = nullptr;
-    for (unsigned L = 0; L <= Level; ++L) {
-      RowArena &C = Arenas[L];
-      if (C.sealed() && !C.spilled() && C.compressedBytes() > 0) {
-        Oldest = &C;
-        break;
-      }
-    }
-    if (!Oldest)
-      break;
-    const size_t Bytes = Oldest->compressedBytes();
-    if (!Oldest->spillTo(Frontier.SpillDir)) {
-      ++Counters.SpillFailures;
-      break;
-    }
-    SealedResident -= Bytes;
-    Counters.SpilledBytes += Bytes;
-    ++Counters.SpilledLevels;
-  }
-}
-
-const std::vector<uint32_t> &
-StateStore::cachedBlock(unsigned Level, uint32_t Block,
-                        DecodeCache &C) const {
-  DecodeCache::Entry *Victim = &C.Ways[0];
-  for (DecodeCache::Entry &E : C.Ways) {
-    if (E.Level == Level && E.Block == Block) {
-      E.Stamp = ++C.Clock;
-      return E.Words;
-    }
-    if (E.Stamp < Victim->Stamp)
-      Victim = &E;
-  }
-  // Decode timing is always on: a block decode is microseconds, the
-  // steady_clock read is nanoseconds, and the stat is how EXPERIMENTS.md
-  // prices the compression tax.
-  const auto T0 = std::chrono::steady_clock::now();
-  Arenas[Level].decodeBlock(Block, Victim->Words, C.FileBuf);
-  C.DecodeNanos += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - T0)
-          .count());
-  ++C.BlocksDecoded;
-  Victim->Level = Level;
-  Victim->Block = Block;
-  Victim->Stamp = ++C.Clock;
-  return Victim->Words;
-}
-
-const uint32_t *StateStore::rows(unsigned Level, RowSpan S,
-                                 DecodeCache &Cache) const {
-  const RowArena &A = Arenas[Level];
-  if (!A.sealed())
-    return A.rows(S);
-  const uint32_t B0 = S.Offset / RowArena::kBlockWords;
-  const uint32_t Last = S.Len ? S.Offset + S.Len - 1 : S.Offset;
-  const uint32_t B1 = Last / RowArena::kBlockWords;
-  if (B0 == B1) {
-    const std::vector<uint32_t> &Words = cachedBlock(Level, B0, Cache);
-    return Words.data() + (S.Offset - B0 * RowArena::kBlockWords);
-  }
-  // The span straddles block boundaries (states are never split across
-  // levels, but kBlockWords is row-agnostic): stitch the pieces together.
-  Cache.Stitch.resize(S.Len);
-  uint32_t Filled = 0;
-  for (uint32_t B = B0; B <= B1; ++B) {
-    const std::vector<uint32_t> &Words = cachedBlock(Level, B, Cache);
-    const uint32_t BlockBegin = B * RowArena::kBlockWords;
-    const uint32_t From = std::max(S.Offset, BlockBegin) - BlockBegin;
-    const uint32_t To = static_cast<uint32_t>(
-        std::min<uint64_t>(static_cast<uint64_t>(S.Offset) + S.Len,
-                           static_cast<uint64_t>(BlockBegin) + Words.size()) -
-        BlockBegin);
-    std::copy(Words.begin() + From, Words.begin() + To,
-              Cache.Stitch.begin() + Filled);
-    Filled += To - From;
-  }
-  return Cache.Stitch.data();
-}
-
-bool StateStore::rowsEqual(unsigned Level, RowSpan S, const uint32_t *Rows,
-                           uint32_t Len, DecodeCache &Cache) const {
-  if (S.Len != Len)
-    return false;
-  const RowArena &A = Arenas[Level];
-  if (!A.sealed())
-    return A.equals(S, Rows, Len);
-  const uint32_t *Mine = rows(Level, S, Cache);
-  return std::equal(Mine, Mine + Len, Rows);
 }

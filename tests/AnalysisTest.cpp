@@ -285,9 +285,10 @@ TEST(OrderDomain, RandomPrefixFactsHoldConcretely) {
           for (unsigned B = 0; B != NumSlots; ++B) {
             if (B >= kMaxRegs && B < kSym)
               continue;
-            if (S.leq(A, B))
+            if (S.leq(A, B)) {
               ASSERT_LE(SlotVal(A, K), SlotVal(B, K))
                   << "slots " << A << " <= " << B << " row " << K;
+            }
           }
         }
         // The register's symbol (unique: values in a row are distinct

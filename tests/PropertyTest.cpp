@@ -147,8 +147,9 @@ TEST_P(DistanceProperty, OneStepLipschitz) {
       uint32_t Next = M.apply(Row, I);
       uint8_t After = DT.dist(Next);
       if (Before != DistanceTable::Unreachable &&
-          After != DistanceTable::Unreachable)
+          After != DistanceTable::Unreachable) {
         ASSERT_GE(static_cast<int>(After), static_cast<int>(Before) - 1);
+      }
       Row = Next;
     }
   }

@@ -119,8 +119,9 @@ TEST(SearchExtras, AdditiveCutBehaves) {
   SearchResult Tight = synthesize(M, Opts);
   ASSERT_TRUE(Loose.Found);
   EXPECT_EQ(Loose.SolutionCount, 5602u);
-  if (Tight.Found)
+  if (Tight.Found) {
     EXPECT_LE(Tight.SolutionCount, Loose.SolutionCount);
+  }
 }
 
 TEST(SearchExtras, MinMaxLayeredCountsAreStable) {

@@ -118,6 +118,9 @@ TEST(Decoder, EveryPrefixTruncationIsRejected) {
                                           : sortingNetworkMinMax(4);
     for (const EmissionPath &Path : emitAllPaths(Kind, 4, P)) {
       ASSERT_EQ(Path.Code.Status, EmitStatus::Ok);
+      // The whole stream validates, so each rejection below is the cut's.
+      ValidationReport Whole = validatePath(Path, Kind, 4, P);
+      ASSERT_TRUE(Whole.Ok) << Path.Name << ": " << Whole.summary();
       for (size_t Len = 0; Len != Path.Code.Bytes.size(); ++Len) {
         DecodeResult D = decodeX86(Path.Code.Bytes.data(), Len);
         EXPECT_FALSE(D.Ok) << Path.Name << " truncated to " << Len;
@@ -150,8 +153,9 @@ TEST(Decoder, RandomByteFlipCorpusNeverCrashes) {
             R.range(0, static_cast<int>(Mutant.size()) - 1));
         Mutant[At] ^= static_cast<uint8_t>(R.range(1, 255));
         DecodeResult D = decodeX86(Mutant.data(), Mutant.size());
-        if (!D.Ok)
+        if (!D.Ok) {
           EXPECT_FALSE(D.Error.empty());
+        }
         ValidationReport V =
             validateKernelBytes(Mutant.data(), Mutant.size(), Kind, 3, P,
                                 GoalSpec::sort(), Path.PairLanes);
@@ -445,6 +449,10 @@ TEST(ValidateMutation, RejectsEverySemanticMutant) {
                                             : sortingNetworkMinMax(N);
       for (const EmissionPath &Path : emitAllPaths(Kind, N, P)) {
         ASSERT_EQ(Path.Code.Status, EmitStatus::Ok);
+        // The unmutated bytes validate, so each rejection below is the
+        // mutation's.
+        ValidationReport Original = validatePath(Path, Kind, N, P);
+        ASSERT_TRUE(Original.Ok) << Path.Name << ": " << Original.summary();
         for (const std::vector<uint8_t> &Mutant :
              semanticMutants(Path.Code, Path.PairLanes)) {
           ++Total;

@@ -40,9 +40,6 @@
 #include <cstring>
 #include <string>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 using namespace sks;
 
 namespace {
@@ -65,9 +62,6 @@ struct CliOptions {
   unsigned Threads = 1;
   bool Batch = false;
   size_t MaxStateBytes = 0;
-  bool CompressFrontier = false;
-  std::string SpillDir;
-  size_t SpillThresholdBytes = 0;
   std::string MiniZincPath;
   std::string PddlDomainPath, PddlProblemPath;
   /// Backend-interface mode: a name from backendNames(), or "portfolio".
@@ -128,16 +122,6 @@ void usage(const char *Argv0) {
       "  --threads <T>           layered-engine worker threads (with --all)\n"
       "  --batch                 instruction-major batch expansion\n"
       "  --max-state-bytes <B>   abort when the state store exceeds B bytes\n"
-      "                          (resident bytes; spilled levels don't count)\n"
-      "  --compress-frontier     delta+varint-compress committed levels once\n"
-      "                          they leave the frontier (layered engines;\n"
-      "                          preserves counts and the solution set)\n"
-      "  --spill-dir <dir>       spill compressed levels to temp files in\n"
-      "                          <dir> once they exceed the threshold\n"
-      "                          (implies --compress-frontier)\n"
-      "  --spill-threshold-bytes <B>\n"
-      "                          keep at most B compressed bytes resident\n"
-      "                          before spilling (default 0: spill all)\n"
       "  --export-minizinc <path>\n"
       "  --export-pddl <domain> <problem>\n",
       Argv0);
@@ -252,19 +236,6 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       if (!V)
         return false;
       Opts.MaxStateBytes = static_cast<size_t>(std::atoll(V));
-    } else if (Arg == "--compress-frontier") {
-      Opts.CompressFrontier = true;
-    } else if (Arg == "--spill-dir") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.SpillDir = V;
-      Opts.CompressFrontier = true; // Spilling is a tier of compression.
-    } else if (Arg == "--spill-threshold-bytes") {
-      const char *V = Next();
-      if (!V)
-        return false;
-      Opts.SpillThresholdBytes = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--export-minizinc") {
       const char *V = Next();
       if (!V)
@@ -425,29 +396,6 @@ int main(int Argc, char **Argv) {
                  "the renaming group is trivial\n");
     return 2;
   }
-  if (Cli.CompressFrontier && !Cli.Backend.empty()) {
-    std::fprintf(stderr,
-                 "error: --compress-frontier/--spill-dir are only "
-                 "implemented for the enumerative engines; they cannot be "
-                 "combined with --backend\n");
-    return 2;
-  }
-  if (!Cli.SpillDir.empty()) {
-    // Fail fast on a bad spill directory instead of silently running
-    // resident: probe it with a create+unlink before any search starts.
-    std::string Probe = Cli.SpillDir + "/sks-spill-probe-" +
-                        std::to_string(::getpid());
-    int Fd = ::open(Probe.c_str(), O_CREAT | O_EXCL | O_WRONLY | O_CLOEXEC,
-                    0600);
-    if (Fd < 0) {
-      std::fprintf(stderr,
-                   "error: --spill-dir '%s' is not a writable directory\n",
-                   Cli.SpillDir.c_str());
-      return 2;
-    }
-    ::close(Fd);
-    ::unlink(Probe.c_str());
-  }
 
   if (!Cli.Backend.empty())
     return runBackendMode(Cli);
@@ -488,21 +436,27 @@ int main(int Argc, char **Argv) {
   Opts.BatchExpansion = Cli.Batch;
   Opts.MaxStateBytes = Cli.MaxStateBytes;
   Opts.ProfilePipeline = Cli.Profile;
-  Opts.CompressFrontier = Cli.CompressFrontier;
-  Opts.SpillDir = Cli.SpillDir;
-  Opts.SpillThresholdBytes = Cli.SpillThresholdBytes;
-  // Threads, batch expansion, and frontier compression are layered-engine
-  // modes (the best-first engine has no per-level arenas to seal).
-  if (Cli.Threads > 1 || Cli.Batch || Cli.CompressFrontier)
+  // Threads and batch expansion are layered-engine modes.
+  if (Cli.Threads > 1 || Cli.Batch)
     Opts.Layered = true;
 
   Stopwatch Timer;
   SearchResult R = synthesize(M, Opts);
   if (!R.Found) {
-    std::fprintf(stderr, "no kernel found within the budget (%s)\n",
+    // Say how far the run got: committed levels (the layered engine's,
+    // root included), expanded states, and the state-store high-water mark.
+    std::string Levels;
+    if (!R.Stats.LevelStates.empty())
+      Levels = std::to_string(R.Stats.LevelStates.size()) +
+               " levels committed, ";
+    std::fprintf(stderr,
+                 "no kernel found within the budget (%s): %s%zu states "
+                 "expanded, peak-state-bytes=%zu\n",
                  R.Stats.MemoryLimited ? "state-store budget exhausted"
                  : R.Stats.TimedOut    ? "timeout"
-                                       : "bound exhausted");
+                                       : "bound exhausted",
+                 Levels.c_str(), R.Stats.StatesExpanded,
+                 R.Stats.PeakResidentBytes);
     return 1;
   }
 
@@ -510,7 +464,7 @@ int main(int Argc, char **Argv) {
               "time=%s\n",
               Cli.N, Cli.Kind == MachineKind::Cmov ? "cmov" : "minmax",
               R.OptimalLength, R.Stats.StatesExpanded,
-              R.Stats.PeakStateBytes,
+              R.Stats.PeakResidentBytes,
               formatDuration(Timer.seconds()).c_str());
   std::printf("; syntactic prune: %zu expansions refused\n",
               R.Stats.SyntacticPruned);
@@ -518,21 +472,6 @@ int main(int Argc, char **Argv) {
     std::printf("; symmetry quotient: %zu candidates merged onto canonical "
                 "representatives\n",
                 R.Stats.SymmetryMerged);
-  if (Cli.CompressFrontier) {
-    const double Ratio =
-        R.Stats.CompressedRawBytes
-            ? static_cast<double>(R.Stats.CompressedBytes) /
-                  static_cast<double>(R.Stats.CompressedRawBytes)
-            : 0.0;
-    std::printf("; frontier compression: %zu -> %zu bytes (%.1f%%), peak "
-                "resident %zu bytes, %zu block decodes (%.1f ms)\n",
-                R.Stats.CompressedRawBytes, R.Stats.CompressedBytes,
-                100.0 * Ratio, R.Stats.PeakResidentBytes,
-                R.Stats.BlocksDecoded, R.Stats.DecodeNanos / 1e6);
-    if (!Cli.SpillDir.empty())
-      std::printf("; spill: %zu bytes on disk at peak (dir %s)\n",
-                  R.Stats.SpilledBytes, Cli.SpillDir.c_str());
-  }
   if (Cli.Profile) {
     auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
     std::printf("; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
