@@ -238,7 +238,7 @@ inline SynthOutcome runBackendRow(const Backend &B, const SynthRequest &Req,
 /// Collects benchmark result rows and writes them as a JSON array, one
 /// object per configuration: {"config", "goal", "seconds", "states",
 /// "peak_bytes", "found", "length", "timed_out", "memory_limited",
-/// "syntactic_pruned", "symmetry_merged"} plus build
+/// "syntactic_pruned"} plus build
 /// attribution ("git_sha", "compiler", "batch_simd", "canon_simd") and —
 /// when SearchOptions::ProfilePipeline was on — the per-stage "*_ns"
 /// counters. peak_bytes is the state-store high-water mark
@@ -257,7 +257,6 @@ public:
                        R.Stats.PeakResidentBytes, R.Found,
                        R.Found ? R.OptimalLength : 0, R.Stats.TimedOut,
                        R.Stats.MemoryLimited, R.Stats.SyntacticPruned,
-                       R.Stats.SymmetryMerged,
                        R.Stats.ApplyNanos, R.Stats.CanonNanos,
                        R.Stats.ViabilityNanos, R.Stats.MergeNanos});
   }
@@ -287,7 +286,7 @@ public:
                    "\"states\": %zu, \"peak_bytes\": %zu, "
                    "\"found\": %s, \"length\": %u, "
                    "\"timed_out\": %s, \"memory_limited\": %s, "
-                   "\"syntactic_pruned\": %zu, \"symmetry_merged\": %zu, "
+                   "\"syntactic_pruned\": %zu, "
                    "\"git_sha\": \"%s\", \"compiler\": \"%s\", "
                    "\"batch_simd\": %s, \"canon_simd\": %s",
                    jsonEscaped(R.Config).c_str(),
@@ -295,7 +294,7 @@ public:
                    R.PeakBytes, R.Found ? "true" : "false", R.Length,
                    R.TimedOut ? "true" : "false",
                    R.MemoryLimited ? "true" : "false", R.SynPruned,
-                   R.SymMerged, jsonEscaped(SKS_GIT_SHA).c_str(),
+                   jsonEscaped(SKS_GIT_SHA).c_str(),
                    jsonEscaped(compilerVersionString()).c_str(),
                    batchApplyUsesSimd() ? "true" : "false",
                    canonicalizeUsesSimd() ? "true" : "false");
@@ -329,7 +328,6 @@ private:
     bool TimedOut;
     bool MemoryLimited;
     size_t SynPruned;
-    size_t SymMerged;
     uint64_t ApplyNs, CanonNs, ViabilityNs, MergeNs;
     uint64_t ValidateNs = 0;
   };

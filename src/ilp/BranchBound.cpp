@@ -34,6 +34,13 @@ void branch(LinearProgram &LP, BnbContext &Ctx) {
   }
   ++Ctx.Result.NodesExplored;
   LpSolution Relaxed = solveLp(LP, 200000, Ctx.Budget);
+  if (Relaxed.Status == LpStatus::IterationLimit &&
+      Ctx.Budget.stopRequested()) {
+    // The stop landed inside the relaxation: a timeout, not a pruned node
+    // (pruning would let a deadline read as a proof of infeasibility).
+    Ctx.Result.Status = IlpStatus::TimedOut;
+    return;
+  }
   if (Relaxed.Status != LpStatus::Optimal)
     return; // Infeasible/limit: prune.
   if (Ctx.HaveIncumbent && Relaxed.Objective <= Ctx.Result.Objective + IntEps)

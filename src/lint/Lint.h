@@ -68,7 +68,7 @@ namespace sks {
 ///                       moves an equal value;
 ///  - order-established: mov/pmin/pmax whose result the destination
 ///                       already provably holds;
-///  - non-canonical-registers: the symmetry analysis's program-level rule
+///  - non-canonical-registers: the program register canonicalization
 ///                       (analysis/Symmetry.h canonicalProgram): some
 ///                       scratch-register renaming yields a lexicograph-
 ///                       ically smaller equivalent kernel. Informational

@@ -44,9 +44,6 @@
 
 #include "lint/Dataflow.h"
 
-#include <array>
-#include <utility>
-
 namespace sks {
 
 /// Mergeable dataflow summary of a program prefix (8 bytes, POD).
@@ -79,43 +76,6 @@ public:
     AnyCmp |= Other.AnyCmp;
     if (LastInstr != Other.LastInstr)
       LastInstr = kNoInstr;
-  }
-
-  /// The summary under an admissible register renaming (analysis/
-  /// Symmetry.h; SearchOptions::SymmetryReduce canonicalizes a state and
-  /// renames the node's prefix facts along with it). Pending-write bits
-  /// move with the permutation; PendingCmp/AnyCmp are register-free and
-  /// carry over; the last instruction renames like any other instruction
-  /// (registers permuted, cmovl <-> cmovg under a flag swap — sound
-  /// because a conditional move leaves the flags alone, so the state's
-  /// flag parity IS the parity at the point the move executed — and cmp
-  /// operands normalized into ascending order, which killsPrefix never
-  /// compares against a non-cmp anyway: repeated cmps are caught by
-  /// PendingCmp before LastInstr is consulted).
-  PrefixLint renamed(const std::array<uint8_t, kMaxRegs> &Perm,
-                     bool FlagSwap) const {
-    PrefixLint Out = *this;
-    Out.PendingWrites = 0;
-    for (unsigned R = 0; R != kMaxRegs; ++R)
-      if (PendingWrites & lintRegBit(R))
-        Out.PendingWrites |= lintRegBit(Perm[R]);
-    Out.PendingWrites |=
-        static_cast<uint16_t>(PendingWrites & ~((1u << kMaxRegs) - 1u));
-    if (LastInstr != kNoInstr) {
-      Instr Last{static_cast<Opcode>(LastInstr >> 6),
-                 static_cast<uint8_t>((LastInstr >> 3) & 7u),
-                 static_cast<uint8_t>(LastInstr & 7u)};
-      Last.Dst = Perm[Last.Dst];
-      Last.Src = Perm[Last.Src];
-      if (FlagSwap && Last.Op == Opcode::CMovL)
-        Last.Op = Opcode::CMovG;
-      else if (FlagSwap && Last.Op == Opcode::CMovG)
-        Last.Op = Opcode::CMovL;
-      else if (Last.Op == Opcode::Cmp && Last.Dst > Last.Src)
-        std::swap(Last.Dst, Last.Src);
-      Out.LastInstr = Last.encode();
-    }
-    return Out;
   }
 
   /// \returns true when appending \p I provably makes some instruction of

@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The best-first engine orders open states by f = g + w*h and returns the
+// The best-first engine orders open states by f = g + h and returns the
 // first sorted state popped. With the None heuristic this is Dijkstra on
 // unit costs and the first solution is provably minimal; with the
 // NeededInstrs heuristic (admissible) optimality is likewise preserved;
@@ -17,6 +17,7 @@
 
 #include "support/Timing.h"
 
+#include <memory>
 #include <queue>
 
 using namespace sks;
@@ -34,9 +35,6 @@ struct Node {
   /// Syntactic-prune summary of the represented program (the Parent/Via
   /// chain); refreshed together with it on a cheaper rediscovery.
   PrefixLint Lint = PrefixLint::entry();
-  /// Symmetry witness of the Via edge (analysis/Symmetry.h; 0 without
-  /// SymmetryReduce); refreshed with Parent/Via on a cheaper rediscovery.
-  uint8_t Witness = 0;
 };
 
 /// Priority-queue entry: min-f, then max-g (depth-first tie break toward
@@ -55,19 +53,13 @@ struct OpenEntry {
 
 } // namespace
 
-static Program reconstruct(const std::vector<Node> &Arena, uint32_t Index,
-                           const SymmetryTable *Sym) {
+static Program reconstruct(const std::vector<Node> &Arena, uint32_t Index) {
   Program P;
-  std::vector<uint8_t> Witnesses;
   while (Arena[Index].Parent != UINT32_MAX) {
     P.push_back(Arena[Index].Via);
-    Witnesses.push_back(Arena[Index].Witness);
     Index = Arena[Index].Parent;
   }
   std::reverse(P.begin(), P.end());
-  std::reverse(Witnesses.begin(), Witnesses.end());
-  if (Sym)
-    P = liftProgram(*Sym, P, Witnesses);
   return P;
 }
 
@@ -79,8 +71,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   StopToken Budget = Opts.Stop.withDeadline(Opts.TimeoutSeconds);
   HeuristicEval Heuristic(M, Opts, DT);
   CutTracker Cuts(Opts.Cut, Opts.MaxLength);
-  std::unique_ptr<SymmetryTable> Sym = makeSymmetryTable(M, Opts);
-  CandidatePipeline Pipeline(M, Opts, DT, Cuts, Sym.get());
+  CandidatePipeline Pipeline(M, Opts, DT, Cuts);
 
   std::vector<Node> Arena;
   // Rows in the level-0 arena; dedup through the sharded index (payload:
@@ -120,10 +111,10 @@ SearchResult detail::bestFirstSearch(const Machine &M,
                         uint16_t CG) -> double {
     switch (Opts.Heuristic) {
     case HeuristicKind::PermCount:
-      return CG + Opts.HeuristicWeight * (C.Perm - 1);
+      return CG + C.Perm - 1;
     case HeuristicKind::NeededInstrs:
       if (DT && Opts.UseViability)
-        return CG + Opts.HeuristicWeight * C.Needed;
+        return CG + C.Needed;
       break;
     default:
       break;
@@ -177,7 +168,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       Result.Found = true;
       Result.OptimalLength = G;
       Result.SolutionCount = 1;
-      Result.Solutions.push_back(reconstruct(Arena, Index, Sym.get()));
+      Result.Solutions.push_back(reconstruct(Arena, Index));
       break;
     }
     if (G >= Opts.MaxLength)
@@ -199,15 +190,15 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       if (Hit != IndexShard::kNotFound) {
         Node &Existing = Arena[Hit];
         if (Existing.G > ChildG) {
-          // Reached more cheaply (possible with weighted heuristics):
-          // refresh the node in place and requeue. The lint summary
-          // follows the represented program; the requeued entry causes a
-          // re-expansion, so earlier prune decisions are reconsidered.
+          // Reached more cheaply (possible with the inconsistent count
+          // heuristics): refresh the node in place and requeue. The lint
+          // summary follows the represented program; the requeued entry
+          // causes a re-expansion, so earlier prune decisions are
+          // reconsidered.
           Existing.G = ChildG;
           Existing.Parent = Index;
           Existing.Via = C.Via;
           Existing.Lint = C.Lint;
-          Existing.Witness = C.Witness;
           Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG,
                               static_cast<uint32_t>(Hit)});
         }
@@ -219,7 +210,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
       uint32_t NewIndex = static_cast<uint32_t>(Arena.size());
       Arena.push_back(
           Node{RowStore.append(CRows, C.RowLen), Index, C.Via, ChildG,
-               C.Lint, C.Witness});
+               C.Lint});
       Shard.insert(C.Hash, NewIndex);
       Open.push(OpenEntry{CandidateF(C, CRows, ChildG), ChildG, NewIndex});
     }

@@ -42,7 +42,6 @@
 #ifndef SKS_SEARCH_EXPANSION_H
 #define SKS_SEARCH_EXPANSION_H
 
-#include "analysis/Symmetry.h"
 #include "lint/PrefixLint.h"
 #include "machine/BatchApply.h"
 #include "search/SearchImpl.h"
@@ -51,24 +50,8 @@
 #include "support/Hashing.h"
 #include "support/Timing.h"
 
-#include <memory>
-
 namespace sks {
 namespace detail {
-
-/// Builds the renaming table both engines hand to their pipelines: non-null
-/// exactly when SearchOptions::SymmetryReduce is on AND the machine's
-/// admissible group is non-trivial (min/max at one scratch register has no
-/// flags and nothing to permute, so the option is a documented no-op there).
-inline std::unique_ptr<SymmetryTable>
-makeSymmetryTable(const Machine &M, const SearchOptions &Opts) {
-  if (!Opts.SymmetryReduce)
-    return nullptr;
-  auto Sym = std::make_unique<SymmetryTable>(M);
-  if (Sym->trivial())
-    return nullptr;
-  return Sym;
-}
 
 /// A child candidate that survived the filter pipeline, before dedup. Rows
 /// live in the producing CandidateBatch's flat buffer.
@@ -85,11 +68,6 @@ struct Candidate {
   /// active. Lets the best-first engine price surviving candidates without
   /// a second row traversal.
   uint8_t Needed = 0;
-  /// SymmetryTable element mapping the raw child rows onto the stored
-  /// canonical rows (0 = identity; always 0 without SymmetryReduce).
-  /// Stored on the DAG edge so solution extraction can lift programs back
-  /// to original register names (analysis/Symmetry.h liftProgram).
-  uint8_t Witness = 0;
 };
 
 /// One expansion worker's output: candidates plus their flat row storage.
@@ -125,13 +103,9 @@ struct CandidateBatch {
 /// CutTracker is only read here; observe() happens at merge/insert time).
 class CandidatePipeline {
 public:
-  /// \p Sym is non-null exactly when SearchOptions::SymmetryReduce is on;
-  /// the pipeline then canonicalizes every surviving candidate onto its
-  /// orbit representative before hashing.
   CandidatePipeline(const Machine &M, const SearchOptions &Opts,
-                    const DistanceTable *DT, const CutTracker &Cuts,
-                    const SymmetryTable *Sym = nullptr)
-      : M(M), Opts(Opts), DT(DT), Cuts(Cuts), Sym(Sym),
+                    const DistanceTable *DT, const CutTracker &Cuts)
+      : M(M), Opts(Opts), DT(DT), Cuts(Cuts),
         Profile(Opts.ProfilePipeline), DataMask(M.dataMask()),
         NumRegs(M.numRegs()), FullValueMask(M.requiredValueMask()),
         GoalCollapse(!M.goal().isSort()) {}
@@ -264,20 +238,6 @@ public:
     C.Via = Via;
     C.Perm = Perm;
     C.Needed = Needed;
-
-    // Symmetry quotient (SearchOptions::SymmetryReduce): replace the rows
-    // by the least member of their renaming orbit, remembering the witness
-    // for lift-back. Runs AFTER viability/perm-count/cut — all three are
-    // orbit-invariant (renamings preserve per-row distance, the value
-    // multiset, and the data projection's distinct count) — and BEFORE the
-    // hash, so symmetric states collide in dedup and merge into one node.
-    C.Witness = 0;
-    if (Sym) {
-      ScopedNanoTimer T(Profile, Stats.CanonNanos);
-      C.Witness = Sym->canonicalize(Rows, Len, B.Scratch);
-      if (C.Witness != 0)
-        ++Stats.SymmetryMerged;
-    }
     {
       ScopedNanoTimer T(Profile, Stats.CanonNanos);
       uint64_t H = kHashWordsSeed;
@@ -286,12 +246,6 @@ public:
       C.Hash = hashWordsFinish(H, Len);
     }
     C.Lint = ParentLint.extended(Via);
-    if (C.Witness != 0) {
-      // The node's prefix facts must describe the CANONICAL namespace the
-      // suffix will be enumerated in; rename them along with the rows.
-      const SymmetryElem &El = Sym->elem(C.Witness);
-      C.Lint = C.Lint.renamed(El.Perm, El.FlagSwap);
-    }
     B.List.push_back(C);
     return true;
   }
@@ -332,7 +286,6 @@ private:
   const SearchOptions &Opts;
   const DistanceTable *DT;
   const CutTracker &Cuts;
-  const SymmetryTable *Sym;
   const bool Profile;
   const uint32_t DataMask;
   const unsigned NumRegs;

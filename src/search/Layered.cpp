@@ -56,7 +56,6 @@
 #include <array>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <numeric>
 
 using namespace sks;
@@ -64,25 +63,21 @@ using namespace sks::detail;
 
 namespace {
 
-/// One incoming DAG edge: parent index in the previous level, the
-/// instruction (expressed against the parent's canonical rows), and the
-/// symmetry witness that canonicalized the resulting child rows (0 without
-/// SymmetryReduce; see analysis/Symmetry.h liftProgram).
+/// One incoming DAG edge: parent index in the previous level and the
+/// instruction applied to it.
 struct ParentEdge {
   uint32_t Parent;
   Instr Via;
-  uint8_t Witness;
 };
 
 /// One node of the solution DAG. Rows live in the owning level's arena.
 struct LNode {
   RowSpan Rows;
   /// All incoming edges; populated only in FindAll mode.
-  /// FirstParent/FirstVia/FirstWitness always hold one edge.
+  /// FirstParent/FirstVia always hold one edge.
   std::vector<ParentEdge> Parents;
   uint32_t FirstParent = UINT32_MAX;
   Instr FirstVia{Opcode::Mov, 0, 0};
-  uint8_t FirstWitness = 0;
   /// Number of distinct programs of length <level> reaching this state.
   uint64_t Ways = 0;
   bool Sorted = false;
@@ -122,7 +117,7 @@ public:
   LayeredEngine(const Machine &M, const SearchOptions &Opts,
                 const DistanceTable *DT)
       : M(M), Opts(Opts), DT(DT), Cuts(Opts.Cut, Opts.MaxLength),
-        Sym(makeSymmetryTable(M, Opts)), Pipeline(M, Opts, DT, Cuts, Sym.get()),
+        Pipeline(M, Opts, DT, Cuts),
         Pool(Opts.NumThreads > 1 ? Opts.NumThreads : 1) {}
 
   SearchResult run();
@@ -138,7 +133,7 @@ private:
                   const std::function<void(size_t)> &Trace,
                   bool &FoundSorted);
   void reconstruct(uint32_t Level, uint32_t Index, Program &Suffix,
-                   std::vector<uint8_t> &WSuffix, SearchResult &Result) const;
+                   SearchResult &Result) const;
 
   const uint32_t *rowsOf(unsigned Level, const LNode &N) const {
     return Store.arena(Level).rows(N.Rows);
@@ -161,9 +156,6 @@ private:
   const SearchOptions &Opts;
   const DistanceTable *DT;
   CutTracker Cuts;
-  /// Non-null exactly when SymmetryReduce is on and the group is
-  /// non-trivial; declared before Pipeline, which captures Sym.get().
-  std::unique_ptr<SymmetryTable> Sym;
   CandidatePipeline Pipeline;
   ThreadPool Pool;
   Stopwatch Timer;
@@ -333,7 +325,6 @@ bool LayeredEngine::expandLevel(unsigned G,
     Result.Stats.CutStates += S.CutStates;
     Result.Stats.ActionsFiltered += S.ActionsFiltered;
     Result.Stats.SyntacticPruned += S.SyntacticPruned;
-    Result.Stats.SymmetryMerged += S.SymmetryMerged;
     // Stage profile: CPU time summed over workers (see Search.h).
     Result.Stats.ApplyNanos += S.ApplyNanos;
     Result.Stats.CanonNanos += S.CanonNanos;
@@ -479,7 +470,7 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
               if (Node.Sorted)
                 Sh.SolutionDelta += Prev[C.Parent].Ways;
               if (Opts.FindAll)
-                Node.Parents.push_back({C.Parent, C.Via, C.Witness});
+                Node.Parents.push_back({C.Parent, C.Via});
               ++Sh.DedupHits;
               continue;
             }
@@ -491,11 +482,10 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
             Sh.Rows.insert(Sh.Rows.end(), CRows, CRows + C.RowLen);
             Node.FirstParent = C.Parent;
             Node.FirstVia = C.Via;
-            Node.FirstWitness = C.Witness;
             Node.Lint = C.Lint;
             Node.Ways = Prev[C.Parent].Ways;
             if (Opts.FindAll)
-              Node.Parents.push_back({C.Parent, C.Via, C.Witness});
+              Node.Parents.push_back({C.Parent, C.Via});
             Node.Sorted = true;
             for (uint32_t R = 0; R != C.RowLen; ++R)
               if (!M.accepts(CRows[R])) {
@@ -577,40 +567,27 @@ bool LayeredEngine::mergeLevel(std::vector<CandidateBatch> &Batches,
 }
 
 void LayeredEngine::reconstruct(uint32_t Level, uint32_t Index,
-                                Program &Suffix, std::vector<uint8_t> &WSuffix,
-                                SearchResult &Result) const {
+                                Program &Suffix, SearchResult &Result) const {
   if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
     return;
   if (Level == 0) {
-    Program P(Suffix.rbegin(), Suffix.rend());
-    if (Sym) {
-      // Lift the canonical-namespace path back to original register names
-      // (analysis/Symmetry.h). The root state is fixed by the whole group,
-      // so the walk starts at the identity witness.
-      std::vector<uint8_t> W(WSuffix.rbegin(), WSuffix.rend());
-      P = liftProgram(*Sym, P, W);
-    }
-    Result.Solutions.push_back(std::move(P));
+    Result.Solutions.emplace_back(Suffix.rbegin(), Suffix.rend());
     return;
   }
   const LNode &Node = Levels[Level][Index];
   if (Opts.FindAll && !Node.Parents.empty()) {
     for (const ParentEdge &E : Node.Parents) {
       Suffix.push_back(E.Via);
-      WSuffix.push_back(E.Witness);
-      reconstruct(Level - 1, E.Parent, Suffix, WSuffix, Result);
+      reconstruct(Level - 1, E.Parent, Suffix, Result);
       Suffix.pop_back();
-      WSuffix.pop_back();
       if (Result.Solutions.size() >= Opts.MaxSolutionsKept)
         return;
     }
     return;
   }
   Suffix.push_back(Node.FirstVia);
-  WSuffix.push_back(Node.FirstWitness);
-  reconstruct(Level - 1, Node.FirstParent, Suffix, WSuffix, Result);
+  reconstruct(Level - 1, Node.FirstParent, Suffix, Result);
   Suffix.pop_back();
-  WSuffix.pop_back();
 }
 
 SearchResult LayeredEngine::run() {
@@ -695,8 +672,7 @@ SearchResult LayeredEngine::run() {
       if (Opts.MaxSolutionsKept > 0 &&
           (Opts.FindAll || Result.Solutions.empty())) {
         Program Suffix;
-        std::vector<uint8_t> WSuffix;
-        reconstruct(FinalLevel, I, Suffix, WSuffix, Result);
+        reconstruct(FinalLevel, I, Suffix, Result);
       }
     }
     if (Opts.TraceIntervalSeconds > 0)

@@ -23,7 +23,7 @@
 ///
 /// Two engines share these components:
 ///
-///  - a best-first engine (priority queue on f = g + w*h) that finds one
+///  - a best-first engine (priority queue on f = g + h) that finds one
 ///    kernel quickly — the configuration rows of the section 5.2 ablation;
 ///  - a layered engine (all programs of length L before length L+1, the
 ///    "Dijkstra" rows) that additionally records the deduplicated solution
@@ -80,8 +80,6 @@ struct CutConfig {
 /// Configuration of one synthesis run.
 struct SearchOptions {
   HeuristicKind Heuristic = HeuristicKind::PermCount;
-  /// Weight w in f = g + w * h.
-  double HeuristicWeight = 1.0;
   CutConfig Cut = CutConfig::none();
   /// Prune states where some assignment cannot be sorted in the remaining
   /// budget (section 3.3; requires the distance table). Without it the
@@ -91,18 +89,6 @@ struct SearchOptions {
   /// Only expand instructions on some assignment's optimal completion
   /// (section 3.2; requires the distance table).
   bool UseActionFilter = false;
-  /// Quotient the search space by the machine's admissible register
-  /// renamings (analysis/Symmetry.h; DESIGN.md section 11): every
-  /// candidate state is replaced by the lexicographically-least member of
-  /// its orbit under scratch-register permutations and the lt/gt flag
-  /// involution, with the witness element stored on the DAG edge so
-  /// solution extraction lifts kernels back to original register names.
-  /// Sound and solution-preserving: renamings are machine automorphisms
-  /// fixing the initial state and the goal, so orbits share completion
-  /// lengths, and the lift-back restores the exact solution set. A no-op
-  /// on machines whose renaming group is trivial (min/max at m = 1: no
-  /// flags, one scratch register).
-  bool SymmetryReduce = false;
   /// Hard upper bound on program length (inclusive).
   unsigned MaxLength = 64;
   /// Use the layered engine and enumerate ALL optimal kernels.
@@ -161,12 +147,6 @@ struct SearchStats {
   /// Expansions refused by the syntactic prune (lint/PrefixLint.h): the
   /// instruction would plant a dead instruction in every completion.
   size_t SyntacticPruned = 0;
-  /// Candidates SearchOptions::SymmetryReduce rewrote onto a strictly
-  /// smaller orbit representative (witness != identity). A per-candidate
-  /// property of the canonical rows, counted before dedup, so the total is
-  /// identical for any thread count or expansion mode — unlike "dedup hits
-  /// caused by symmetry", which would depend on arrival order.
-  size_t SymmetryMerged = 0;
   /// Layered engine only: number of canonical states committed at each
   /// level (index = program length). Identical across thread counts and
   /// expansion modes for a fixed configuration, so the equivalence tests

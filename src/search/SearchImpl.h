@@ -83,12 +83,12 @@ inline unsigned countDistinctGoal(const std::vector<uint32_t> &Rows,
   return countDistinctGoal(Rows.data(), Rows.size(), M, Scratch);
 }
 
-/// Evaluates the configured section 3.1 heuristic (already weighted).
+/// Evaluates the configured section 3.1 heuristic.
 class HeuristicEval {
 public:
   HeuristicEval(const Machine &M, const SearchOptions &Opts,
                 const DistanceTable *DT)
-      : M(M), DT(DT), Kind(Opts.Heuristic), Weight(Opts.HeuristicWeight) {}
+      : M(M), DT(DT), Kind(Opts.Heuristic) {}
 
   double operator()(const uint32_t *Rows, size_t Len,
                     std::vector<uint32_t> &Scratch) const {
@@ -96,12 +96,11 @@ public:
     case HeuristicKind::None:
       return 0;
     case HeuristicKind::PermCount:
-      return Weight * (countDistinctGoal(Rows, Len, M, Scratch) - 1);
+      return countDistinctGoal(Rows, Len, M, Scratch) - 1;
     case HeuristicKind::AssignCount:
-      return Weight *
-             (countDistinctMasked(Rows, Len, M.regMask(), Scratch) - 1);
+      return countDistinctMasked(Rows, Len, M.regMask(), Scratch) - 1;
     case HeuristicKind::NeededInstrs:
-      return Weight * DT->maxDist(Rows, Len);
+      return DT->maxDist(Rows, Len);
     }
     return 0;
   }
@@ -114,7 +113,6 @@ private:
   const Machine &M;
   const DistanceTable *DT;
   HeuristicKind Kind;
-  double Weight;
 };
 
 /// Tracks the per-length minimum distinct-permutation count and implements

@@ -12,7 +12,8 @@
 // counts, the solution DAG, the exact solution count, and the
 // reconstructed kernel set are identical for any mode. These tests pin that
 // equivalence on the full n=3 all-solutions experiment (5602 optimal
-// kernels), on the n=4 cut-1 DAG, and on the min/max machine. The n=3
+// kernels), on the n=3 cut-1 set (234 kernels), on the n=4 cut-1 DAG, and
+// on the min/max machine. The n=3
 // sequential run and the n=4 cut-1 run are each solved once per process
 // and shared by every test that compares against them.
 //
@@ -80,23 +81,19 @@ SearchResult findAllN3(const Mode &Mo) {
                     findAllConfig(MachineKind::Cmov, 3, Mo));
 }
 
-/// The n=4 cut-1 all-solutions configuration (perm-count heuristic,
-/// viability, cut k=1).
-SearchOptions cutOneN4Config() {
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
+/// The cut-1 all-solutions configuration (perm-count heuristic,
+/// viability, cut k=1) of the n-input cmov machine, run in mode \p Mo.
+SearchOptions cutOneConfig(unsigned N, const Mode &Mo) {
+  SearchOptions Opts = findAllConfig(MachineKind::Cmov, N, Mo);
   Opts.Cut = CutConfig::mult(1.0);
-  Opts.FindAll = true;
-  Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 4);
   return Opts;
 }
 
 /// The n=4 cut-1 DAG, counted only (no reconstruction), on four threads.
 const SearchResult &cutOneN4() {
   static const SearchResult R = [] {
-    SearchOptions Opts = cutOneN4Config();
+    SearchOptions Opts = cutOneConfig(4, kModes[1]);
     Opts.MaxSolutionsKept = 0;
-    Opts.NumThreads = 4;
     return synthesize(Machine(MachineKind::Cmov, 4), Opts);
   }();
   return R;
@@ -154,6 +151,29 @@ TEST(EngineEquivalence, CmovN4CutOneDagIsPinned) {
   EXPECT_EQ(storedStates(R), 1274162u);
   EXPECT_TRUE(R.Solutions.empty());
   EXPECT_GT(R.Stats.SyntacticPruned, 0u);
+}
+
+TEST(EngineEquivalence, CmovN3CutOneSetIsPinned) {
+  // The n=3 cut k=1 all-solutions run (EXPERIMENTS.md; sks-synth --n 3
+  // --all --cut 1) is small enough to reconstruct in full: exactly 234
+  // optimal kernels, each a correct sort, and the same set in every mode.
+  Machine M(MachineKind::Cmov, 3);
+  std::set<std::string> Reference;
+  for (const Mode &Mo : kModes) {
+    SearchResult R = synthesize(M, cutOneConfig(3, Mo));
+    ASSERT_TRUE(R.Found) << Mo.Name;
+    EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
+    EXPECT_EQ(R.SolutionCount, 234u) << Mo.Name;
+    ASSERT_EQ(R.Solutions.size(), 234u) << Mo.Name;
+    for (const Program &P : R.Solutions)
+      EXPECT_TRUE(isCorrectKernel(M, P)) << Mo.Name;
+    std::set<std::string> Set = solutionSet(M, R);
+    EXPECT_EQ(Set.size(), 234u) << Mo.Name << ": solutions are distinct";
+    if (Reference.empty())
+      Reference = std::move(Set);
+    else
+      EXPECT_EQ(Set, Reference) << Mo.Name;
+  }
 }
 
 TEST(EngineEquivalence, MinMaxN3AllModesAgree) {
@@ -217,116 +237,6 @@ TEST(EngineEquivalence, StatsAgreeAcrossThreadCounts) {
   EXPECT_EQ(Seq.Stats.SyntacticPruned, Par.Stats.SyntacticPruned);
 }
 
-TEST(EngineEquivalence, SymmetryReducePreservesThe5602SolutionDag) {
-  // The soundness pin of the renaming quotient (SearchOptions::
-  // SymmetryReduce, analysis/Symmetry.h): states are merged with their
-  // admissible-renaming orbit and solutions lifted back through the
-  // per-edge witnesses, so the full n=3 all-solutions run must reproduce
-  // the exact 5602-kernel set of the unquotiented baseline — in every
-  // execution mode, with identical per-level state counts and merge
-  // counters across modes (the merge is a pre-dedup per-candidate
-  // property, so it cannot depend on the thread count).
-  Machine M(MachineKind::Cmov, 3);
-  const SearchResult &Baseline = sequentialN3();
-  ASSERT_TRUE(Baseline.Found);
-  ASSERT_EQ(Baseline.SolutionCount, 5602u);
-  const std::set<std::string> Reference = solutionSet(M, Baseline);
-  ASSERT_FALSE(Baseline.Stats.LevelStates.empty());
-
-  std::vector<size_t> QuotientLevels;
-  uint64_t ReferenceMerged = 0;
-  for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.SymmetryReduce = true;
-    SearchResult R = synthesize(M, Opts);
-    ASSERT_TRUE(R.Found) << Mo.Name;
-    EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
-    EXPECT_EQ(R.SolutionCount, 5602u) << Mo.Name;
-    EXPECT_EQ(solutionSet(M, R), Reference) << Mo.Name;
-    EXPECT_GT(R.Stats.SymmetryMerged, 0u) << Mo.Name;
-    // Stored states are orbit representatives, so every level shrinks (or
-    // stays — but at least one level must actually merge something).
-    ASSERT_EQ(R.Stats.LevelStates.size(), Baseline.Stats.LevelStates.size())
-        << Mo.Name;
-    bool Shrank = false;
-    for (size_t L = 0; L != R.Stats.LevelStates.size(); ++L) {
-      EXPECT_LE(R.Stats.LevelStates[L], Baseline.Stats.LevelStates[L])
-          << Mo.Name << " level " << L;
-      Shrank |= R.Stats.LevelStates[L] < Baseline.Stats.LevelStates[L];
-    }
-    EXPECT_TRUE(Shrank) << Mo.Name;
-    if (QuotientLevels.empty()) {
-      QuotientLevels = R.Stats.LevelStates;
-      ReferenceMerged = R.Stats.SymmetryMerged;
-    } else {
-      EXPECT_EQ(R.Stats.LevelStates, QuotientLevels) << Mo.Name;
-      EXPECT_EQ(R.Stats.SymmetryMerged, ReferenceMerged) << Mo.Name;
-    }
-  }
-}
-
-TEST(EngineEquivalence, SymmetryReducePreservesCutRunsExactly) {
-  // The quotient composed with the section 3.5 cut: cut decisions depend
-  // only on permutation counts, which are orbit-invariant, so the n=3
-  // cut-1.0 all-solutions run (234 kernels, small enough to reconstruct
-  // in full) must lift back to the bit-identical kernel set.
-  Machine M(MachineKind::Cmov, 3);
-  SearchOptions Base;
-  Base.Heuristic = HeuristicKind::PermCount;
-  Base.Cut = CutConfig::mult(1.0);
-  Base.FindAll = true;
-  Base.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
-
-  SearchResult RBase = synthesize(M, Base);
-  ASSERT_TRUE(RBase.Found);
-  ASSERT_EQ(RBase.SolutionCount, RBase.Solutions.size()); // Uncapped.
-
-  SearchOptions SymOpts = Base;
-  SymOpts.SymmetryReduce = true;
-  SearchResult RSym = synthesize(M, SymOpts);
-  ASSERT_TRUE(RSym.Found);
-  EXPECT_EQ(RSym.OptimalLength, RBase.OptimalLength);
-  EXPECT_EQ(RSym.SolutionCount, RBase.SolutionCount);
-  EXPECT_EQ(solutionSet(M, RSym), solutionSet(M, RBase));
-  EXPECT_GT(RSym.Stats.SymmetryMerged, 0u);
-}
-
-TEST(EngineEquivalence, SymmetryReduceComposesAtN4) {
-  // The n=4 acceptance run (cut 1.0 keeps it small). This configuration
-  // has 10.8M optimal kernels — far beyond MaxSolutionsKept, and the
-  // truncated reconstruction prefix is enumeration-order-dependent, so
-  // the full-set comparison lives in the n=3 tests; here the quotient
-  // must preserve the exact path count (the DAG's Ways sum, which is not
-  // capped), lift every reconstructed kernel back to a correct program,
-  // merge something, and store no more states per level than its
-  // no-symmetry counterpart.
-  Machine M(MachineKind::Cmov, 4);
-  const SearchResult &RBase = cutOneN4();
-  ASSERT_TRUE(RBase.Found);
-
-  SearchOptions SymOpts = cutOneN4Config();
-  SymOpts.SymmetryReduce = true;
-  SearchResult RSym = synthesize(M, SymOpts);
-  ASSERT_TRUE(RSym.Found);
-  EXPECT_EQ(RSym.OptimalLength, RBase.OptimalLength);
-  EXPECT_EQ(RSym.SolutionCount, RBase.SolutionCount);
-  EXPECT_GT(RSym.Stats.SymmetryMerged, 0u);
-  ASSERT_EQ(RSym.Stats.LevelStates.size(), RBase.Stats.LevelStates.size());
-  bool Shrank = false;
-  for (size_t L = 0; L != RSym.Stats.LevelStates.size(); ++L) {
-    EXPECT_LE(RSym.Stats.LevelStates[L], RBase.Stats.LevelStates[L])
-        << "level " << L;
-    Shrank |= RSym.Stats.LevelStates[L] < RBase.Stats.LevelStates[L];
-  }
-  EXPECT_TRUE(Shrank);
-  // Every reconstructed kernel went through the witness lift; spot-check
-  // a deterministic stride of them against the concrete verifier.
-  ASSERT_FALSE(RSym.Solutions.empty());
-  const size_t Stride = std::max<size_t>(1, RSym.Solutions.size() / 500);
-  for (size_t I = 0; I < RSym.Solutions.size(); I += Stride)
-    ASSERT_TRUE(isCorrectKernel(M, RSym.Solutions[I])) << "solution " << I;
-}
-
 TEST(SearchExtras, MaxStateBytesAbortKeepsCommittedLevels) {
   // The byte budget (SearchOptions::MaxStateBytes), kept next to the mode
   // matrix and the n=3 baseline it compares against. A run that outgrows
@@ -365,38 +275,10 @@ TEST(SearchExtras, MaxStateBytesAbortKeepsCommittedLevels) {
   EXPECT_GT(R.Stats.PeakResidentBytes, 0u);
 }
 
-TEST(EngineEquivalence, SymmetryReduceUnderThreadsSmoke) {
-  // The tsan-labelled symmetry subset (tests/CMakeLists.txt): config (III)
-  // plus the quotient keeps every run in the tens of milliseconds even
-  // instrumented, while driving the witness-carrying candidates and the
-  // renamed prefix summaries through the threaded expansion and the
-  // sharded parallel merge.
-  Machine M(MachineKind::Cmov, 3);
-  std::set<std::string> Reference;
-  uint64_t ReferenceCount = 0;
-  for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.Cut = CutConfig::mult(1.0);
-    Opts.SymmetryReduce = true;
-    SearchResult R = synthesize(M, Opts);
-    ASSERT_TRUE(R.Found) << Mo.Name;
-    EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
-    EXPECT_GT(R.Stats.SymmetryMerged, 0u) << Mo.Name;
-    std::set<std::string> Set = solutionSet(M, R);
-    if (Reference.empty()) {
-      Reference = std::move(Set);
-      ReferenceCount = R.SolutionCount;
-    } else {
-      EXPECT_EQ(R.SolutionCount, ReferenceCount) << Mo.Name;
-      EXPECT_EQ(Set, Reference) << Mo.Name;
-    }
-  }
-}
-
 TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
-  // The goal-predicate generalization under every execution mode, composed
-  // with the symmetry quotient: the select-1
-  // (minimum) and top-1 (maximum) all-solutions runs at n=3 each have
+  // The goal-predicate generalization under every execution mode: the
+  // select-1 (minimum) and top-1 (maximum) all-solutions runs at n=3 each
+  // have
   // exactly 4 optimal kernels of length 4 (measured; two compare orders
   // times two cmov argument orders), and the reconstructed sets must be
   // identical across sequential/threaded/batch execution. This is the
@@ -413,9 +295,8 @@ TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
     Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, C.Goal);
     std::set<std::string> Reference;
     for (const Mode &Mo : kModes) {
-      SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-      Opts.SymmetryReduce = true;
-      SearchResult R = synthesize(M, Opts);
+      SearchResult R =
+          synthesize(M, findAllConfig(MachineKind::Cmov, 3, Mo));
       ASSERT_TRUE(R.Found) << C.Name << " " << Mo.Name;
       EXPECT_EQ(R.OptimalLength, 4u) << C.Name << " " << Mo.Name;
       EXPECT_EQ(R.SolutionCount, 4u) << C.Name << " " << Mo.Name;
@@ -434,14 +315,12 @@ TEST(EngineEquivalence, GoalSolutionSetsAreModeInvariant) {
 TEST(EngineEquivalence, GoalSearchUnderThreadsSmoke) {
   // The tsan_goals ctest entry: the select-1 all-solutions run is a few
   // milliseconds even instrumented, and it drives goal-collapsed distinct
-  // counts (search/SearchImpl.h countDistinctGoal) and the goal-pinned
-  // symmetry quotient through the threaded expansion and sharded merge.
+  // counts (search/SearchImpl.h countDistinctGoal) through the threaded
+  // expansion and sharded merge.
   Machine M(MachineKind::Cmov, 3, /*Scratch=*/1, GoalSpec::selectK(1));
   std::set<std::string> Reference;
   for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.SymmetryReduce = true;
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, findAllConfig(MachineKind::Cmov, 3, Mo));
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 4u) << Mo.Name;
     std::set<std::string> Set = solutionSet(M, R);
@@ -464,9 +343,7 @@ TEST(EngineEquivalence, SyntacticPruneUnderThreadsSmoke) {
   std::set<std::string> Reference;
   SearchResult First;
   for (const Mode &Mo : kModes) {
-    SearchOptions Opts = findAllConfig(MachineKind::Cmov, 3, Mo);
-    Opts.Cut = CutConfig::mult(1.0);
-    SearchResult R = synthesize(M, Opts);
+    SearchResult R = synthesize(M, cutOneConfig(3, Mo));
     ASSERT_TRUE(R.Found) << Mo.Name;
     EXPECT_EQ(R.OptimalLength, 11u) << Mo.Name;
     EXPECT_GT(R.Stats.SyntacticPruned, 0u) << Mo.Name;

@@ -73,22 +73,6 @@ TEST(SearchExtras, TraceIsMonotoneInTime) {
   EXPECT_GT(R.SolutionCount, 0u);
 }
 
-TEST(SearchExtras, HeuristicWeightSteersGreediness) {
-  // Higher weight makes the perm-count search greedier: never more
-  // expansions than weight 1 on this instance.
-  Machine M(MachineKind::Cmov, 3);
-  SearchOptions Opts;
-  Opts.Heuristic = HeuristicKind::PermCount;
-  Opts.UseViability = true;
-  Opts.MaxLength = 12;
-  SearchResult Neutral = synthesize(M, Opts);
-  Opts.HeuristicWeight = 4.0;
-  SearchResult Greedy = synthesize(M, Opts);
-  ASSERT_TRUE(Neutral.Found && Greedy.Found);
-  EXPECT_LE(Greedy.Stats.StatesExpanded, Neutral.Stats.StatesExpanded);
-  EXPECT_TRUE(isCorrectKernel(M, Greedy.Solutions.front()));
-}
-
 TEST(SearchExtras, SharedDistanceTableGivesIdenticalResults) {
   Machine M(MachineKind::Cmov, 3);
   DistanceTable DT(M);

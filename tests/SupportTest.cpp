@@ -220,6 +220,10 @@ TEST(Env, IntParsing) {
   EXPECT_EQ(envInt("SKS_TEST_INT", 7), 42);
   ::setenv("SKS_TEST_INT", "not-a-number", 1);
   EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
+  ::setenv("SKS_TEST_INT", "-3", 1);
+  EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
+  ::setenv("SKS_TEST_INT", "42abc", 1);
+  EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
   ::unsetenv("SKS_TEST_INT");
   EXPECT_EQ(envInt("SKS_TEST_INT", 7), 7);
 }
@@ -227,8 +231,62 @@ TEST(Env, IntParsing) {
 TEST(Env, DoubleParsing) {
   ::setenv("SKS_TEST_DOUBLE", "2.5", 1);
   EXPECT_DOUBLE_EQ(envDouble("SKS_TEST_DOUBLE", 1.0), 2.5);
+  ::setenv("SKS_TEST_DOUBLE", "-2.5", 1);
+  EXPECT_DOUBLE_EQ(envDouble("SKS_TEST_DOUBLE", 1.0), 1.0);
   ::unsetenv("SKS_TEST_DOUBLE");
   EXPECT_DOUBLE_EQ(envDouble("SKS_TEST_DOUBLE", 1.0), 1.0);
+}
+
+TEST(Env, StrictUnsignedParsing) {
+  uint64_t V = 99;
+  EXPECT_TRUE(parseUnsigned("0", 10, V));
+  EXPECT_EQ(V, 0u);
+  EXPECT_TRUE(parseUnsigned("42", 42, V));
+  EXPECT_EQ(V, 42u);
+  EXPECT_TRUE(parseUnsigned("18446744073709551615", UINT64_MAX, V));
+  EXPECT_EQ(V, UINT64_MAX);
+  V = 7;
+  for (const char *Bad :
+       {"", "abc", "-1", "+1", " 1", "1 ", "12x", "0x10", "1.5", "43",
+        "18446744073709551616", "99999999999999999999999"})
+    EXPECT_FALSE(parseUnsigned(Bad, 42, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseUnsigned(nullptr, 42, V));
+  EXPECT_EQ(V, 7u) << "a rejected value leaves the output untouched";
+}
+
+TEST(Env, StrictNumberParsing) {
+  double V = 0;
+  EXPECT_TRUE(parseNonNegative("2.5", V));
+  EXPECT_DOUBLE_EQ(V, 2.5);
+  EXPECT_TRUE(parseNonNegative(".5", V));
+  EXPECT_DOUBLE_EQ(V, 0.5);
+  EXPECT_TRUE(parseNonNegative("0", V));
+  EXPECT_DOUBLE_EQ(V, 0.0);
+  V = 7;
+  for (const char *Bad : {"", "xyz", "-1", "-0.5", "+1", " 1", "1 ", "1.5s",
+                          "inf", "nan", "1e999", "."})
+    EXPECT_FALSE(parseNonNegative(Bad, V)) << "'" << Bad << "'";
+  EXPECT_FALSE(parseNonNegative(nullptr, V));
+  EXPECT_DOUBLE_EQ(V, 7.0);
+}
+
+TEST(Env, FlagParsingEnforcesBounds) {
+  uint64_t N = 0;
+  EXPECT_TRUE(parseFlag("--threads", "4", 1, 1024, N));
+  EXPECT_EQ(N, 4u);
+  EXPECT_FALSE(parseFlag("--threads", "0", 1, 1024, N));
+  EXPECT_FALSE(parseFlag("--threads", "1025", 1, 1024, N));
+  EXPECT_FALSE(parseFlag("--threads", "abc", 1, 1024, N));
+  EXPECT_FALSE(parseFlag("--threads", nullptr, 1, 1024, N));
+  EXPECT_EQ(N, 4u);
+
+  double K = 0;
+  EXPECT_TRUE(parseFlag("--cut", "1.5", /*Positive=*/true, K));
+  EXPECT_DOUBLE_EQ(K, 1.5);
+  EXPECT_FALSE(parseFlag("--cut", "0", /*Positive=*/true, K));
+  EXPECT_TRUE(parseFlag("--timeout", "0", /*Positive=*/false, K));
+  EXPECT_DOUBLE_EQ(K, 0.0);
+  EXPECT_FALSE(parseFlag("--timeout", "-1", /*Positive=*/false, K));
 }
 
 TEST(Env, FullRunFlag) {

@@ -1,243 +1,125 @@
-//===- tests/SymmetryTest.cpp - Register-renaming symmetry analysis --------===//
+//===- tests/SymmetryTest.cpp - Program register canonicalization ---------===//
 //
 // Part of the sks project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Unit and randomized property tests for analysis/Symmetry.h:
+// Unit and randomized property tests for analysis/Symmetry.h, the
+// program-level renaming behind the sks-lint rule non-canonical-registers:
 //
-//  - group structure: orders for each machine kind, identity at element 0,
-//    inverse/composition/parity-override table identities;
-//  - the action: transformRow is a group action (homomorphism against
-//    compose), and renameInstr commutes with concrete execution — the
-//    semantic soundness fact the whole quotient rests on;
-//  - canonicalize: orbit invariance (every member of an orbit maps to the
-//    same canonical buffer) and witness correctness, on random instruction
-//    walks from the real initial state;
-//  - canonicalProgram: the program-level restriction behind the sks-lint
-//    rule non-canonical-registers, including cmp re-normalization and the
-//    forced cmov direction flips, on verified sort kernels.
+//  - on random instruction walks over two- and three-scratch cmov machines,
+//    the canonical program stays in the alphabet, computes the same data
+//    registers as the original on every initial assignment, and is the same
+//    for every scratch renaming of the program (orbit invariance);
+//  - cmp re-normalization and the forced cmov direction flips, on verified
+//    sort kernels, and the trivial and mixed-file cases.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Symmetry.h"
-#include "state/Canonicalize.h"
 #include "state/SearchState.h"
 #include "support/Rng.h"
 #include "verify/Verify.h"
 
 #include <algorithm>
+#include <array>
 #include <gtest/gtest.h>
+#include <numeric>
 
 using namespace sks;
 
 namespace {
 
-/// A random packed row of \p M: register fields uniform in [0, n], flags
-/// one of clear / lt / gt (cmp never sets both).
-uint32_t randomRow(const Machine &M, Rng &R) {
-  uint32_t Row = 0;
-  for (unsigned Reg = 0; Reg != M.numRegs(); ++Reg)
-    Row = setReg(Row, Reg, static_cast<uint32_t>(R.below(M.numValues())));
-  switch (R.below(3)) {
-  case 1:
-    return Row | FlagLT;
-  case 2:
-    return Row | FlagGT;
-  default:
-    return Row;
-  }
+/// A random program of \p Len alphabet instructions of \p M.
+Program randomWalk(const Machine &M, Rng &R, size_t Len) {
+  const std::vector<Instr> &Alphabet = M.instructions();
+  Program P;
+  for (size_t I = 0; I != Len; ++I)
+    P.push_back(Alphabet[R.below(Alphabet.size())]);
+  return P;
 }
 
-TEST(Symmetry, GroupOrders) {
-  // Cmov m=1: no scratch pair to permute, but the flag involution remains.
-  SymmetryTable Cmov1(Machine(MachineKind::Cmov, 3));
-  EXPECT_EQ(Cmov1.size(), 2u);
-  EXPECT_FALSE(Cmov1.trivial());
-
-  // Min/max m=1: no flags either — the quotient collapses to the identity.
-  SymmetryTable MinMax1(Machine(MachineKind::MinMax, 3));
-  EXPECT_EQ(MinMax1.size(), 1u);
-  EXPECT_TRUE(MinMax1.trivial());
-
-  // Cmov m=2: 2! scratch permutations x flag involution.
-  SymmetryTable Cmov2(Machine(MachineKind::Cmov, 3, 2));
-  EXPECT_EQ(Cmov2.size(), 4u);
-
-  // Hybrid n=3: one GP scratch (1!) x the whole goal-free vector file
-  // (4 registers, 4!) x flag involution = 48.
-  SymmetryTable Hyb(Machine(MachineKind::Hybrid, 3));
-  EXPECT_EQ(Hyb.size(), 48u);
+/// The cmov machines the properties run on: n = 3 with two and with three
+/// scratch registers (one scratch register permutes only trivially).
+std::vector<Machine> renamableMachines() {
+  return {Machine(MachineKind::Cmov, 3, 2), Machine(MachineKind::Cmov, 3, 3)};
 }
 
-TEST(Symmetry, ElementZeroIsTheIdentity) {
-  for (MachineKind Kind :
-       {MachineKind::Cmov, MachineKind::MinMax, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const SymmetryElem &Id = Sym.elem(0);
-    EXPECT_TRUE(Id.PermIsIdentity);
-    EXPECT_FALSE(Id.FlagSwap);
-    Rng R(11);
-    for (int Round = 0; Round != 50; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      EXPECT_EQ(Sym.transformRow(Row, 0), Row);
+/// Reference renaming, written independently of the implementation: apply
+/// \p Perm to every register, write a cmp whose operands come out
+/// descending in the alphabet's ascending order, and flip every
+/// conditional move that reads the flags of such a swapped cmp.
+Program renameScratch(const Program &P,
+                      const std::array<uint8_t, kMaxRegs> &Perm) {
+  Program Out;
+  bool Swapped = false;
+  for (Instr I : P) {
+    I.Dst = Perm[I.Dst];
+    I.Src = Perm[I.Src];
+    if (I.Op == Opcode::Cmp) {
+      Swapped = I.Dst > I.Src;
+      if (Swapped)
+        std::swap(I.Dst, I.Src);
+    } else if (Swapped && I.Op == Opcode::CMovL) {
+      I.Op = Opcode::CMovG;
+    } else if (Swapped && I.Op == Opcode::CMovG) {
+      I.Op = Opcode::CMovL;
     }
+    Out.push_back(I);
   }
+  return Out;
 }
 
-TEST(Symmetry, InverseComposeAndParityTables) {
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    for (unsigned E = 0; E != Sym.size(); ++E) {
-      EXPECT_EQ(Sym.compose(E, Sym.inverse(E)), 0u);
-      EXPECT_EQ(Sym.compose(Sym.inverse(E), E), 0u);
-      EXPECT_EQ(Sym.compose(0, E), E);
-      EXPECT_EQ(Sym.compose(E, 0), E);
-      // The inverse keeps the parity (the involution is self-inverse and
-      // central); the parity override changes only the flag component.
-      EXPECT_EQ(Sym.flagSwap(Sym.inverse(E)), Sym.flagSwap(E));
-      for (bool Phi : {false, true}) {
-        unsigned P = Sym.withFlagSwap(E, Phi);
-        EXPECT_EQ(Sym.flagSwap(P), Phi);
-        EXPECT_EQ(Sym.elem(P).Perm, Sym.elem(E).Perm);
-      }
-    }
-  }
-}
-
-TEST(Symmetry, TransformRowIsAGroupAction) {
-  // transformRow(., compose(E1, E2)) == transformRow(transformRow(., E1),
-  // E2): compose(First, Then) applies First, then Then.
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    Rng R(42 + static_cast<uint64_t>(Kind));
-    for (int Round = 0; Round != 40; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      for (unsigned E1 = 0; E1 != Sym.size(); ++E1)
-        for (unsigned E2 = 0; E2 != Sym.size(); ++E2)
-          ASSERT_EQ(Sym.transformRow(Sym.transformRow(Row, E1), E2),
-                    Sym.transformRow(Row, Sym.compose(E1, E2)))
-              << "E1=" << E1 << " E2=" << E2;
-      for (unsigned E = 0; E != Sym.size(); ++E)
-        ASSERT_EQ(Sym.transformRow(Sym.transformRow(Row, E), Sym.inverse(E)),
-                  Row)
-            << "E=" << E;
+TEST(Symmetry, RenamedInstructionsStayInTheAlphabet) {
+  // The canonical program must itself be writable in the machine's
+  // alphabet: cmp operands ascending, no self-moves.
+  for (const Machine &M : renamableMachines()) {
+    const std::vector<Instr> &Alphabet = M.instructions();
+    Rng R(7 + M.numRegs());
+    for (int Round = 0; Round != 200; ++Round) {
+      for (const Instr &I : canonicalProgram(randomWalk(M, R, 12), 3))
+        ASSERT_NE(std::find(Alphabet.begin(), Alphabet.end(), I),
+                  Alphabet.end())
+            << toString(I, M.numData()) << " round " << Round;
     }
   }
 }
 
 TEST(Symmetry, RenameInstrCommutesWithExecution) {
-  // The soundness core: renaming a state and executing the renamed
-  // instruction lands on the renamed result — with the flag component of
-  // the correspondence rebuilt from renameInstr's parity (a cmp overwrites
-  // the flags, so its normalization parity replaces the old one; every
-  // other opcode passes the element's own parity through):
-  //
-  //   apply(T_E(Row), rename_E(I)) == T_{withFlagSwap(E, Phi)}(apply(Row, I))
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    Rng R(77 + static_cast<uint64_t>(Kind));
-    for (int Round = 0; Round != 60; ++Round) {
-      uint32_t Row = randomRow(M, R);
-      for (const Instr &I : M.instructions()) {
-        for (unsigned E = 0; E != Sym.size(); ++E) {
-          bool Phi;
-          Instr Renamed = Sym.renameInstr(I, E, Phi);
-          ASSERT_EQ(M.apply(Sym.transformRow(Row, E), Renamed),
-                    Sym.transformRow(M.apply(Row, I),
-                                     Sym.withFlagSwap(E, Phi)))
-              << toString(I, M.numData()) << " E=" << E;
-        }
-      }
+  // The soundness core of the lint rule: the canonical renaming of a
+  // program computes the same data registers as the program itself from
+  // every initial assignment (scratch registers all start equal, so
+  // renaming them does not change the start state).
+  for (const Machine &M : renamableMachines()) {
+    const std::vector<uint32_t> Inputs = initialState(M).Rows;
+    Rng R(77 + M.numRegs());
+    for (int Round = 0; Round != 200; ++Round) {
+      const Program P = randomWalk(M, R, 16);
+      const Program Canon = canonicalProgram(P, 3);
+      for (uint32_t Row : Inputs)
+        ASSERT_EQ(M.run(Row, Canon) & M.dataMask(),
+                  M.run(Row, P) & M.dataMask())
+            << toString(P, 3) << "renamed to\n" << toString(Canon, 3);
     }
   }
 }
 
-TEST(Symmetry, RenamedInstructionsStayInTheAlphabet) {
-  // The quotient only works if every renamed edge is itself a legal
-  // instruction (cmp operands ascending, no self-moves).
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const std::vector<Instr> &Alphabet = M.instructions();
-    for (const Instr &I : Alphabet)
-      for (unsigned E = 0; E != Sym.size(); ++E) {
-        bool Phi;
-        Instr Renamed = Sym.renameInstr(I, E, Phi);
-        EXPECT_NE(std::find(Alphabet.begin(), Alphabet.end(), Renamed),
-                  Alphabet.end())
-            << toString(I, M.numData()) << " renamed by " << E << " to "
-            << toString(Renamed, M.numData());
-      }
-  }
-}
-
-/// Sorts + dedups a copy of \p Rows — the canonical-form precondition of
-/// SymmetryTable::canonicalize.
-std::vector<uint32_t> sortedUnique(std::vector<uint32_t> Rows) {
-  std::sort(Rows.begin(), Rows.end());
-  Rows.erase(std::unique(Rows.begin(), Rows.end()), Rows.end());
-  return Rows;
-}
-
 TEST(Symmetry, CanonicalizeIsOrbitInvariantOnRandomWalks) {
-  // Random instruction walks from the real initial state; at every step,
-  // every member of the state's orbit must canonicalize to the same buffer,
-  // and the returned witness must actually map the input onto it.
-  for (MachineKind Kind : {MachineKind::Cmov, MachineKind::Hybrid}) {
-    Machine M(Kind, 3, Kind == MachineKind::Cmov ? 2u : 1u);
-    SymmetryTable Sym(M);
-    const std::vector<Instr> &Instrs = M.instructions();
-    Rng R(9001 + static_cast<uint64_t>(Kind));
-    std::vector<uint32_t> Scratch;
-
-    std::vector<uint32_t> Rows = initialState(M).Rows;
-    for (int Step = 0; Step != 120; ++Step) {
-      Instr Via = Instrs[R.below(Instrs.size())];
-      for (uint32_t &Row : Rows)
-        Row = M.apply(Row, Via);
-      Rows = sortedUnique(Rows);
-
-      std::vector<uint32_t> Canon = Rows;
-      uint8_t W = Sym.canonicalize(Canon.data(),
-                                   static_cast<uint32_t>(Canon.size()),
-                                   Scratch);
-      ASSERT_LT(W, Sym.size());
-      // Witness correctness: transforming the input by W reproduces the
-      // canonical buffer (W == 0 means the input already was canonical).
-      std::vector<uint32_t> Mapped(Rows.size());
-      for (size_t I = 0; I != Rows.size(); ++I)
-        Mapped[I] = Sym.transformRow(Rows[I], W);
-      std::sort(Mapped.begin(), Mapped.end());
-      ASSERT_EQ(Mapped, Canon);
-      if (W == 0) {
-        ASSERT_EQ(Canon, Rows);
-      }
-
-      // Orbit invariance: every transform of the state canonicalizes to
-      // the identical buffer, and canonicalize is idempotent.
-      for (unsigned E = 0; E != Sym.size(); ++E) {
-        std::vector<uint32_t> Other(Rows.size());
-        for (size_t I = 0; I != Rows.size(); ++I)
-          Other[I] = Sym.transformRow(Rows[I], E);
-        sortRows(Other.data(), static_cast<uint32_t>(Other.size()));
-        uint8_t WO = Sym.canonicalize(Other.data(),
-                                      static_cast<uint32_t>(Other.size()),
-                                      Scratch);
-        ASSERT_EQ(Other, Canon) << "E=" << E << " step " << Step;
-        if (E == 0) {
-          ASSERT_EQ(WO, W);
-        }
-      }
-
-      // Walk on from the canonical representative, as the engine does.
-      Rows = std::move(Canon);
-      if (Rows.size() <= 1) // Dead end; restart to keep states wide.
-        Rows = initialState(M).Rows;
+  // Every scratch renaming of a random program canonicalizes to the same
+  // program, which is a fixed point (idempotence).
+  for (const Machine &M : renamableMachines()) {
+    Rng R(9001 + M.numRegs());
+    std::array<uint8_t, kMaxRegs> Perm;
+    for (int Round = 0; Round != 100; ++Round) {
+      const Program P = randomWalk(M, R, 14);
+      const Program Canon = canonicalProgram(P, 3);
+      ASSERT_TRUE(isCanonicalProgram(Canon, 3)) << toString(P, 3);
+      std::iota(Perm.begin(), Perm.end(), uint8_t(0));
+      do {
+        ASSERT_EQ(canonicalProgram(renameScratch(P, Perm), 3), Canon)
+            << toString(P, 3);
+      } while (std::next_permutation(Perm.begin() + 3,
+                                     Perm.begin() + M.numRegs()));
     }
   }
 }

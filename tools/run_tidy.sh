@@ -31,20 +31,21 @@ fi
 # First-party translation units only: the compile database also contains
 # GTest/benchmark glue we do not own. find covers src/ wholesale (including
 # src/driver, src/state, and src/analysis — the abstract-interpretation
-# layer behind the semantic lint rules and the symmetry quotient behind
-# --symmetry, plus src/cache and src/service — the kernel store and the
-# concurrent front end behind sks-serve) and the tools/ CLIs. The bench
-# tree is covered selectively: hot-path microbenchmarks that exercise
-# first-party SIMD, the portfolio race harness that drives the backend
-# interface, the ablation table that reports the prune counters, and the
-# service latency harness, the n=5 budget run that drives the layered
-# engine's byte budget, and the analytics workloads that drive the pair
-# JIT and the sortlib selection entry points. From the test tree, the
-# symmetry property tests, the service tests, the goal-predicate tests,
-# and the translation-validation tests ride along: they exercise the
-# witness algebra, the concurrency contract, the goal layer, and the
-# decoder/symbolic-executor proof stack the JIT's safety now rests on,
-# so their idioms are held to the same bar.
+# layer behind the semantic lint rules and the program register
+# canonicalization behind non-canonical-registers, plus src/cache and
+# src/service — the kernel store and the concurrent front end behind
+# sks-serve) and the tools/ CLIs. The bench tree is covered selectively:
+# hot-path microbenchmarks that exercise first-party SIMD, the portfolio
+# race harness that drives the backend interface, the ablation table that
+# reports the prune counters, and the service latency harness, the n=5
+# budget run that drives the layered engine's byte budget, and the
+# analytics workloads that drive the pair JIT and the sortlib selection
+# entry points. From the test tree, the canonicalization property tests,
+# the service tests, the goal-predicate tests, and the translation-
+# validation tests ride along: they exercise the renaming rules, the
+# concurrency contract, the goal layer, and the decoder/symbolic-executor
+# proof stack the JIT's safety now rests on, so their idioms are held to
+# the same bar.
 FILES=$(find "$ROOT/src" "$ROOT/tools" "$ROOT/examples" -name '*.cpp' | sort)
 FILES="$FILES $ROOT/bench/bench_expand_micro.cpp"
 FILES="$FILES $ROOT/bench/bench_portfolio.cpp"

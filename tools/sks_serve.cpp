@@ -20,12 +20,13 @@
 
 #include "service/Protocol.h"
 #include "service/SynthService.h"
+#include "support/Env.h"
 #include "support/Timing.h"
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <string>
@@ -86,20 +87,19 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
         return false;
       Opts.DefaultBackend = V;
     } else if (Arg == "--workers") {
-      const char *V = Next();
-      if (!V)
+      uint64_t V;
+      if (!parseFlag("--workers", Next(), 1, 1024, V))
         return false;
-      Opts.Workers = static_cast<unsigned>(std::atoi(V));
+      Opts.Workers = static_cast<unsigned>(V);
     } else if (Arg == "--queue") {
-      const char *V = Next();
-      if (!V)
+      uint64_t V;
+      if (!parseFlag("--queue", Next(), 0, SIZE_MAX, V))
         return false;
-      Opts.MaxQueue = static_cast<size_t>(std::atoll(V));
+      Opts.MaxQueue = static_cast<size_t>(V);
     } else if (Arg == "--timeout") {
-      const char *V = Next();
-      if (!V)
+      if (!parseFlag("--timeout", Next(), /*Positive=*/false,
+                     Opts.DefaultTimeout))
         return false;
-      Opts.DefaultTimeout = std::atof(V);
     } else {
       return false;
     }
@@ -107,7 +107,7 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
   bool PolicyOk = Opts.DefaultBackend == "portfolio";
   for (const std::string &Name : backendNames())
     PolicyOk = PolicyOk || Opts.DefaultBackend == Name;
-  return PolicyOk && Opts.Workers >= 1;
+  return PolicyOk;
 }
 
 /// One request/response stream: serializes response writes (completions

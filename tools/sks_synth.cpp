@@ -19,6 +19,8 @@
 //
 // Options mirroring the paper's section 3 knobs: --heuristic
 // perm|assign|needed|none, --cut <k>, --timeout <s>, --max-length <L>.
+// Numeric values are parsed strictly (support/Env.h): a malformed,
+// negative or out-of-range value is an error (exit 2), never a default.
 //
 //===----------------------------------------------------------------------===//
 
@@ -31,14 +33,17 @@
 #include "planning/Pddl.h"
 #include "search/Search.h"
 #include "service/SynthService.h"
+#include "support/Env.h"
 #include "support/Timing.h"
 #include "validate/SymbolicExec.h"
 #include "verify/Verify.h"
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 using namespace sks;
 
@@ -48,14 +53,14 @@ struct CliOptions {
   unsigned N = 3;
   MachineKind Kind = MachineKind::Cmov;
   HeuristicKind Heuristic = HeuristicKind::PermCount;
-  double Cut = 1.0;
+  /// --cut factor; unset means k = 1, or no cut under --all.
+  std::optional<double> Cut;
   bool NoCut = false;
   bool All = false;
   bool Prove = false;
   bool EmitAsm = false;
   bool RequireRobust = false;
   bool Schedule = false;
-  bool Symmetry = false;
   bool Profile = false;
   double Timeout = 0;
   unsigned MaxLength = 0;
@@ -103,17 +108,14 @@ void usage(const char *Argv0) {
       "                          with --backend a validation failure\n"
       "                          demotes the outcome\n"
       "  --heuristic perm|assign|needed|none\n"
-      "  --cut <k>               permutation-count cut factor (default 1)\n"
+      "  --cut <k>               permutation-count cut factor (default 1;\n"
+      "                          with --all, no cut unless given)\n"
       "  --no-cut                disable the cut (optimality-preserving)\n"
       "  --all                   enumerate ALL optimal kernels\n"
       "  --prove                 certify minimality (exhaust length-1)\n"
       "  --asm                   print x86-64 assembly\n"
       "  --robust                require correctness on ALL int inputs\n"
       "  --schedule              list-schedule the kernel for ILP\n"
-      "  --symmetry              quotient states by scratch-register\n"
-      "                          renaming and the lt/gt flag involution\n"
-      "                          (sound; solutions lifted back to original\n"
-      "                          names; cmov/hybrid only)\n"
       "  --profile               print the per-stage expansion-pipeline\n"
       "                          time breakdown (apply/canonicalize/\n"
       "                          viability/merge)\n"
@@ -133,11 +135,17 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     auto Next = [&]() -> const char * {
       return I + 1 < Argc ? Argv[++I] : nullptr;
     };
-    if (Arg == "--n") {
-      const char *V = Next();
-      if (!V)
+    // The next argument as an integer in [Min, Max] (support/Env.h).
+    auto Integer = [&](uint64_t Min, uint64_t Max, auto &Out) {
+      uint64_t V;
+      if (!parseFlag(Arg.c_str(), Next(), Min, Max, V))
         return false;
-      Opts.N = static_cast<unsigned>(std::atoi(V));
+      Out = static_cast<std::remove_reference_t<decltype(Out)>>(V);
+      return true;
+    };
+    if (Arg == "--n") {
+      if (!Integer(2, 6, Opts.N))
+        return false;
     } else if (Arg == "--isa") {
       const char *V = Next();
       if (!V)
@@ -194,10 +202,10 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
     } else if (Arg == "--validate-jit") {
       Opts.ValidateJit = true;
     } else if (Arg == "--cut") {
-      const char *V = Next();
-      if (!V)
+      double K;
+      if (!parseFlag("--cut", Next(), /*Positive=*/true, K))
         return false;
-      Opts.Cut = std::atof(V);
+      Opts.Cut = K;
     } else if (Arg == "--no-cut") {
       Opts.NoCut = true;
     } else if (Arg == "--all") {
@@ -210,32 +218,24 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       Opts.RequireRobust = true;
     } else if (Arg == "--schedule") {
       Opts.Schedule = true;
-    } else if (Arg == "--symmetry") {
-      Opts.Symmetry = true;
     } else if (Arg == "--profile") {
       Opts.Profile = true;
     } else if (Arg == "--timeout") {
-      const char *V = Next();
-      if (!V)
+      if (!parseFlag("--timeout", Next(), /*Positive=*/false, Opts.Timeout))
         return false;
-      Opts.Timeout = std::atof(V);
     } else if (Arg == "--max-length") {
-      const char *V = Next();
-      if (!V)
+      // 0 keeps the network-size default; 255 is far above any optimal
+      // kernel length the machines reach.
+      if (!Integer(0, 255, Opts.MaxLength))
         return false;
-      Opts.MaxLength = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--threads") {
-      const char *V = Next();
-      if (!V)
+      if (!Integer(1, 1024, Opts.Threads))
         return false;
-      Opts.Threads = static_cast<unsigned>(std::atoi(V));
     } else if (Arg == "--batch") {
       Opts.Batch = true;
     } else if (Arg == "--max-state-bytes") {
-      const char *V = Next();
-      if (!V)
+      if (!Integer(0, SIZE_MAX, Opts.MaxStateBytes))
         return false;
-      Opts.MaxStateBytes = static_cast<size_t>(std::atoll(V));
     } else if (Arg == "--export-minizinc") {
       const char *V = Next();
       if (!V)
@@ -252,7 +252,7 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       return false;
     }
   }
-  return Opts.N >= 2 && Opts.N <= 6;
+  return true;
 }
 
 /// Prints one driver outcome as a comment line: backend, status, wall
@@ -381,22 +381,6 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Reject --symmetry where the quotient is unimplemented or trivial
-  // instead of silently ignoring the flag.
-  if (Cli.Symmetry && !Cli.Backend.empty()) {
-    std::fprintf(stderr,
-                 "error: --symmetry is only implemented for the enumerative "
-                 "engines; it cannot be combined with --backend\n");
-    return 2;
-  }
-  if (Cli.Symmetry && Cli.Kind == MachineKind::MinMax) {
-    std::fprintf(stderr,
-                 "error: --symmetry has no effect for --isa minmax: the "
-                 "machine has no flags and a single scratch register, so "
-                 "the renaming group is trivial\n");
-    return 2;
-  }
-
   if (!Cli.Backend.empty())
     return runBackendMode(Cli);
 
@@ -426,11 +410,12 @@ int main(int Argc, char **Argv) {
   SearchOptions Opts;
   Opts.Heuristic = Cli.All ? HeuristicKind::None : Cli.Heuristic;
   Opts.UseViability = true;
-  if (!Cli.NoCut && !Cli.All)
-    Opts.Cut = CutConfig::mult(Cli.Cut);
+  // --all enumerates every optimal kernel, so it runs uncut unless --cut
+  // asks for a cut.
+  if (!Cli.NoCut && (Cli.Cut || !Cli.All))
+    Opts.Cut = CutConfig::mult(Cli.Cut.value_or(1.0));
   Opts.MaxLength = Bound;
   Opts.FindAll = Cli.All;
-  Opts.SymmetryReduce = Cli.Symmetry;
   Opts.TimeoutSeconds = Cli.Timeout;
   Opts.NumThreads = Cli.Threads;
   Opts.BatchExpansion = Cli.Batch;
@@ -468,10 +453,6 @@ int main(int Argc, char **Argv) {
               formatDuration(Timer.seconds()).c_str());
   std::printf("; syntactic prune: %zu expansions refused\n",
               R.Stats.SyntacticPruned);
-  if (Cli.Symmetry)
-    std::printf("; symmetry quotient: %zu candidates merged onto canonical "
-                "representatives\n",
-                R.Stats.SymmetryMerged);
   if (Cli.Profile) {
     auto Ms = [](uint64_t Nanos) { return Nanos / 1e6; };
     std::printf("; pipeline profile: apply %.1f ms, canonicalize %.1f ms, "
