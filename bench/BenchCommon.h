@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 /// Short git revision baked in by bench/CMakeLists.txt (configure time);
@@ -239,7 +240,8 @@ inline SynthOutcome runBackendRow(const Backend &B, const SynthRequest &Req,
 /// object per configuration: {"config", "goal", "seconds", "states",
 /// "peak_bytes", "found", "length", "timed_out", "memory_limited",
 /// "syntactic_pruned"} plus build
-/// attribution ("git_sha", "compiler", "batch_simd", "canon_simd") and —
+/// attribution ("git_sha", "compiler", "nproc", "batch_simd",
+/// "canon_simd") and —
 /// when SearchOptions::ProfilePipeline was on — the per-stage "*_ns"
 /// counters. peak_bytes is the state-store high-water mark
 /// (SearchStats::PeakResidentBytes). timed_out/memory_limited make a
@@ -288,7 +290,7 @@ public:
                    "\"timed_out\": %s, \"memory_limited\": %s, "
                    "\"syntactic_pruned\": %zu, "
                    "\"git_sha\": \"%s\", \"compiler\": \"%s\", "
-                   "\"batch_simd\": %s, \"canon_simd\": %s",
+                   "\"nproc\": %u, \"batch_simd\": %s, \"canon_simd\": %s",
                    jsonEscaped(R.Config).c_str(),
                    jsonEscaped(R.Goal).c_str(), R.Seconds, R.States,
                    R.PeakBytes, R.Found ? "true" : "false", R.Length,
@@ -296,6 +298,7 @@ public:
                    R.MemoryLimited ? "true" : "false", R.SynPruned,
                    jsonEscaped(SKS_GIT_SHA).c_str(),
                    jsonEscaped(compilerVersionString()).c_str(),
+                   std::thread::hardware_concurrency(),
                    batchApplyUsesSimd() ? "true" : "false",
                    canonicalizeUsesSimd() ? "true" : "false");
       if (R.ApplyNs || R.CanonNs || R.ViabilityNs || R.MergeNs)

@@ -10,11 +10,17 @@
 //   canonicalize/{scalar,simd}/<rows>   sortRows networks + radix vs
 //                                       std::sort + std::unique
 //   apply/{scalar,simd}                 Machine::apply loop vs applyBatch
-//   finish/{multipass,fused}            the PR 2 four-traversal finish()
-//                                       vs the fused CandidatePipeline
+//   expand/{apply_then_check,gate}      one node's expansion: apply every
+//                                       action, then probe the distance
+//                                       table per child row, vs the action
+//                                       gate's successor-row fold before
+//                                       apply (CandidatePipeline::
+//                                       expandNode)
+//   table/<isa>/<n>                     DistanceTable construction, with
+//                                       its bytes as a counter
 //
-// The scalar arms run in the same binary, so the reported ratios are
-// SIMD-vs-scalar on one build (the acceptance comparison), not a
+// The baseline arms run in the same binary, so the reported ratios are
+// baseline-vs-optimized on one build (the acceptance comparison), not a
 // cross-build artifact. --smoke caps every benchmark at a few iterations
 // for the ctest entry; --json writes the measurements plus the derived
 // speedup rows and build attribution.
@@ -29,6 +35,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <tuple>
 
 using namespace sks;
 using namespace sks::bench;
@@ -116,46 +123,64 @@ void benchApply(benchmark::State &State, bool Simd) {
                           static_cast<int64_t>(Instrs.size() * kRows));
 }
 
-/// Everything the finish() benchmarks share: a real n = 4 machine with its
-/// distance table and a corpus of raw (applied, not yet canonical)
-/// candidate row buffers drawn from random walks off the initial state.
-struct FinishFixture {
-  Machine M{MachineKind::Cmov, 4};
+/// Everything the expansion benchmarks share: the n = 3 find-all
+/// configuration (no cut, length bound 12) with its distance table and a
+/// corpus of search nodes — canonical row sets reached by random walks of
+/// viable steps off the initial state. Lengths 5..10 are drawn in
+/// proportion to that run's level sizes, which hold 99.9% of the nodes it
+/// expands.
+struct ExpandFixture {
+  Machine M{MachineKind::Cmov, 3};
   DistanceTable DT{M};
   SearchOptions Opts;
   CutTracker Cuts;
   CandidatePipeline Pipeline;
-  std::vector<uint32_t> Corpus; ///< kBuffers raw buffers of Len rows each.
-  uint32_t Len;
+  std::vector<uint32_t> Rows;      ///< Every node's rows, back to back.
+  std::vector<uint32_t> Offsets;   ///< Node I is Rows[Offsets[I]..[I+1]).
+  std::vector<unsigned> Depths;    ///< Program length of each node.
 
-  FinishFixture()
+  ExpandFixture()
       : Opts(makeOpts()), Cuts(Opts.Cut, Opts.MaxLength),
         Pipeline(M, Opts, &DT, Cuts) {
-    SearchState Init = initialState(M);
-    Len = static_cast<uint32_t>(Init.Rows.size()); // 24 rows at n = 4.
-    Rng R(11);
+    const std::vector<uint32_t> Init = initialState(M).Rows;
     const std::vector<Instr> &Instrs = M.instructions();
-    std::vector<uint32_t> Parent;
-    for (size_t B = 0; B != kBuffers; ++B) {
-      // Random-depth walk from the initial state, then one more apply
-      // producing the raw (uncanonical) child buffer finish() sees.
-      Parent = Init.Rows;
-      unsigned Depth = static_cast<unsigned>(R.below(6));
-      for (unsigned D = 0; D != Depth; ++D) {
-        Instr I = Instrs[R.below(Instrs.size())];
-        for (uint32_t &Row : Parent)
-          Row = M.apply(Row, I);
-        Parent.resize(canonicalizeRows(
-            Parent.data(), static_cast<uint32_t>(Parent.size())));
+    Rng R(11);
+    Offsets.push_back(0);
+    std::vector<std::vector<uint32_t>> Viable;
+    // Committed states per level 5..10 of the run (EngineEquivalenceTest).
+    const size_t LevelStates[] = {6432, 26828, 110995, 389945, 995165, 74019};
+    size_t AllStates = 0;
+    for (size_t Count : LevelStates)
+      AllStates += Count;
+    while (Depths.size() != kBuffers) {
+      unsigned Depth = 5;
+      for (size_t Pick = R.below(AllStates); Pick >= LevelStates[Depth - 5];
+           ++Depth)
+        Pick -= LevelStates[Depth - 5];
+      std::vector<uint32_t> Parent = Init;
+      for (unsigned D = 0; D != Depth && !Parent.empty(); ++D) {
+        // Step to a random child that stays viable at length D + 1; a
+        // dead end drops the walk.
+        Viable.clear();
+        for (const Instr &I : Instrs) {
+          std::vector<uint32_t> Child = Parent;
+          for (uint32_t &Row : Child)
+            Row = M.apply(Row, I);
+          Child.resize(canonicalizeRows(
+              Child.data(), static_cast<uint32_t>(Child.size())));
+          const uint8_t Needed = DT.maxDist(Child);
+          if (Needed != DistanceTable::Unreachable &&
+              D + 1 + Needed <= Opts.MaxLength)
+            Viable.push_back(std::move(Child));
+        }
+        Parent = Viable.empty() ? std::vector<uint32_t>()
+                                : Viable[R.below(Viable.size())];
       }
-      Instr Via = Instrs[R.below(Instrs.size())];
-      for (uint32_t Row : Parent)
-        Corpus.push_back(M.apply(Row, Via));
-      // Pad walks that shrank below Len back up by repeating rows, so
-      // every corpus buffer is a uniform Len (duplicates are realistic:
-      // raw buffers repeat rows all the time).
-      for (size_t Have = Parent.size(); Have != Len; ++Have)
-        Corpus.push_back(Corpus[B * Len]);
+      if (Parent.empty())
+        continue;
+      Rows.insert(Rows.end(), Parent.begin(), Parent.end());
+      Offsets.push_back(static_cast<uint32_t>(Rows.size()));
+      Depths.push_back(Depth);
     }
   }
 
@@ -163,73 +188,103 @@ struct FinishFixture {
     SearchOptions Opts;
     Opts.UseViability = true;
     Opts.Cut = CutConfig::none();
-    Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 4);
+    Opts.MaxLength = networkUpperBound(MachineKind::Cmov, 3);
     return Opts;
   }
 };
 
-FinishFixture &finishFixture() {
-  static FinishFixture F;
+ExpandFixture &expandFixture() {
+  static ExpandFixture F;
   return F;
 }
 
-/// The PR 2 finish(): separate sort+unique, maxDist, always-masked perm
-/// count, and hash traversals. Kept as the multipass baseline.
-bool finishMultipass(const FinishFixture &F, CandidateBatch &B,
-                     size_t RawBegin, unsigned ChildG) {
-  auto Begin = B.Rows.begin() + static_cast<ptrdiff_t>(RawBegin);
-  std::sort(Begin, B.Rows.end());
-  B.Rows.erase(std::unique(Begin, B.Rows.end()), B.Rows.end());
-  const uint32_t *Rows = B.Rows.data() + RawBegin;
-  const uint32_t Len = static_cast<uint32_t>(B.Rows.size() - RawBegin);
-  uint8_t Needed = F.DT.maxDist(Rows, Len);
-  if (Needed == DistanceTable::Unreachable ||
-      ChildG + Needed > F.Opts.MaxLength) {
-    B.Rows.resize(RawBegin);
-    return false;
+/// The node expansion before the gate decided viability: every
+/// lint-admitted instruction is applied, then the distance table is probed
+/// per child row (stopping at the first dead row), and the survivors go
+/// through finish(). Kept as the apply-then-check baseline.
+void expandApplyThenCheck(const ExpandFixture &F, const uint32_t *Rows,
+                          uint32_t Len, const PrefixLint &Lint,
+                          unsigned ChildG, CandidateBatch &B,
+                          SearchStats &Stats) {
+  for (const Instr &I : F.M.instructions()) {
+    if (Lint.killsPrefix(I))
+      continue;
+    const size_t RawBegin = B.Rows.size();
+    B.Rows.resize(RawBegin + Len);
+    applyBatch(F.M, I, Rows, B.Rows.data() + RawBegin, Len);
+    const uint8_t Needed = F.DT.maxDist(B.Rows.data() + RawBegin, Len);
+    if (Needed == DistanceTable::Unreachable ||
+        ChildG + Needed > F.Opts.MaxLength) {
+      B.Rows.resize(RawBegin);
+      continue;
+    }
+    F.Pipeline.finish(B, RawBegin, ChildG, 0, I, Needed, Lint, Stats);
   }
-  uint32_t Perm = countDistinctMasked(Rows, Len, F.M.dataMask(), B.Scratch);
-  Candidate C;
-  C.RowOffset = static_cast<uint32_t>(RawBegin);
-  C.RowLen = Len;
-  C.Parent = 0;
-  C.Via = F.M.instructions()[0];
-  C.Perm = Perm;
-  C.Hash = hashWords(Rows, Len);
-  C.Lint = PrefixLint::entry();
-  B.List.push_back(C);
+}
+
+/// Expands every corpus node into \p B with the gate (\p Gate) or the
+/// apply-then-check baseline.
+void expandCorpus(const ExpandFixture &F, bool Gate, CandidateBatch &B,
+                  std::vector<Action> &Actions, SearchStats &Stats) {
+  const PrefixLint Lint = PrefixLint::entry();
+  for (size_t Node = 0; Node != F.Depths.size(); ++Node) {
+    const uint32_t *Rows = F.Rows.data() + F.Offsets[Node];
+    const uint32_t Len = F.Offsets[Node + 1] - F.Offsets[Node];
+    const unsigned ChildG = F.Depths[Node] + 1;
+    if (Gate)
+      F.Pipeline.expandNode(Rows, Len, Lint, 0, ChildG, B, Actions, Stats);
+    else
+      expandApplyThenCheck(F, Rows, Len, Lint, ChildG, B, Stats);
+  }
+}
+
+/// True when both expansion paths produce the same candidates, rows
+/// included; the speedup row compares equal work only.
+bool expansionPathsAgree() {
+  const ExpandFixture &F = expandFixture();
+  CandidateBatch Old, New;
+  std::vector<Action> Actions;
+  SearchStats Stats;
+  expandCorpus(F, false, Old, Actions, Stats);
+  expandCorpus(F, true, New, Actions, Stats);
+  if (Old.List.size() != New.List.size() || Old.Rows != New.Rows)
+    return false;
+  for (size_t I = 0; I != Old.List.size(); ++I)
+    if (Old.List[I].Hash != New.List[I].Hash ||
+        Old.List[I].Needed != New.List[I].Needed)
+      return false;
   return true;
 }
 
-void benchFinish(benchmark::State &State, bool Fused) {
-  FinishFixture &F = finishFixture();
+void benchExpand(benchmark::State &State, bool Gate) {
+  const ExpandFixture &F = expandFixture();
   CandidateBatch B;
-  B.reserveFor(kBuffers, F.Len);
+  std::vector<Action> Actions;
   SearchStats Stats;
-  PrefixLint Lint = PrefixLint::entry();
-  Instr Via = F.M.instructions()[0];
   size_t Survivors = 0;
   for (auto _ : State) {
     B.clear();
-    for (size_t Buf = 0; Buf != kBuffers; ++Buf) {
-      size_t RawBegin = B.Rows.size();
-      B.Rows.insert(B.Rows.end(), F.Corpus.data() + Buf * F.Len,
-                    F.Corpus.data() + (Buf + 1) * F.Len);
-      // ChildG = 1 keeps the remaining budget realistic for shallow
-      // levels; the corpus mixes depths so some buffers still prune.
-      bool Survived =
-          Fused ? F.Pipeline.finish(B, RawBegin, 1, 0, Via, Lint, Stats)
-                : finishMultipass(F, B, RawBegin, 1);
-      Survivors += Survived;
-    }
+    expandCorpus(F, Gate, B, Actions, Stats);
+    Survivors += B.List.size();
     benchmark::DoNotOptimize(B.Rows.data());
     benchmark::DoNotOptimize(B.List.data());
   }
   State.SetItemsProcessed(State.iterations() *
-                          static_cast<int64_t>(kBuffers * F.Len));
+                          static_cast<int64_t>(F.Depths.size()));
   State.counters["survivors"] =
       static_cast<double>(Survivors) /
       static_cast<double>(std::max<int64_t>(1, State.iterations()));
+}
+
+void benchTable(benchmark::State &State, MachineKind Kind, unsigned N) {
+  Machine M(Kind, N);
+  size_t Bytes = 0;
+  for (auto _ : State) {
+    DistanceTable DT(M);
+    Bytes = DT.bytesUsed();
+    benchmark::DoNotOptimize(Bytes);
+  }
+  State.counters["bytes"] = static_cast<double>(Bytes);
 }
 
 /// Captures per-benchmark timings while still printing the console table.
@@ -239,6 +294,7 @@ public:
     std::string Name;
     double NsPerOp;
     double ItemsPerSecond;
+    double Bytes; ///< The table rows' "bytes" counter; 0 elsewhere.
   };
   std::vector<Timing> Timings;
 
@@ -249,6 +305,7 @@ public:
       double Iters = std::max<double>(1, static_cast<double>(R.iterations));
       double NsPerOp = R.real_accumulated_time * 1e9 / Iters;
       auto It = R.counters.find("items_per_second");
+      auto BytesIt = R.counters.find("bytes");
       // Smoke mode's ->Iterations() appends "/iterations:N" to the name;
       // strip it so the speedup pairing below works in both modes.
       std::string Name = R.benchmark_name();
@@ -256,7 +313,9 @@ public:
         Name.resize(Pos);
       Timings.push_back(
           {std::move(Name), NsPerOp,
-           It != R.counters.end() ? static_cast<double>(It->second) : 0});
+           It != R.counters.end() ? static_cast<double>(It->second) : 0,
+           BytesIt != R.counters.end() ? static_cast<double>(BytesIt->second)
+                                       : 0});
     }
     ConsoleReporter::ReportRuns(Reports);
   }
@@ -293,10 +352,19 @@ int main(int argc, char **argv) {
   Register("apply/scalar",
            [](benchmark::State &S) { benchApply(S, false); });
   Register("apply/simd", [](benchmark::State &S) { benchApply(S, true); });
-  Register("finish/multipass",
-           [](benchmark::State &S) { benchFinish(S, false); });
-  Register("finish/fused",
-           [](benchmark::State &S) { benchFinish(S, true); });
+  Register("expand/apply_then_check",
+           [](benchmark::State &S) { benchExpand(S, false); });
+  Register("expand/gate", [](benchmark::State &S) { benchExpand(S, true); });
+  for (auto [Kind, Isa, MaxN] : {std::tuple{MachineKind::Cmov, "cmov", 6u},
+                                 {MachineKind::MinMax, "minmax", 5u}})
+    for (unsigned N = 3; N <= MaxN; ++N)
+      Register(std::string("table/") + Isa + "/" + std::to_string(N),
+               [Kind, N](benchmark::State &S) { benchTable(S, Kind, N); });
+  if (!expansionPathsAgree()) {
+    std::fprintf(stderr, "error: the gate and the apply-then-check "
+                         "expansion disagree\n");
+    return 1;
+  }
 
   int FakeArgc = 1;
   benchmark::Initialize(&FakeArgc, argv);
@@ -305,7 +373,7 @@ int main(int argc, char **argv) {
 
   // Derived speedup rows (equal workloads, so the ns/op ratio is the
   // throughput ratio). The canonicalize acceptance bar is >= 1.5x.
-  Table T({"stage", "scalar ns/op", "simd ns/op", "speedup"});
+  Table T({"stage", "baseline ns/op", "optimized ns/op", "speedup"});
   struct SpeedRow {
     std::string Name;
     double Speedup;
@@ -345,7 +413,7 @@ int main(int argc, char **argv) {
     T.row().cell("canonicalize/geomean").cell("-").cell("-").cell(Buf);
   }
   AddRow("apply", "apply/scalar", "apply/simd");
-  AddRow("finish", "finish/multipass", "finish/fused");
+  AddRow("expand", "expand/apply_then_check", "expand/gate");
   std::printf("\n");
   T.print();
   std::printf("simd: apply=%s canonicalize=%s (scalar arms forced via the "
@@ -360,20 +428,26 @@ int main(int argc, char **argv) {
       return 1;
     }
     std::fprintf(F, "[\n");
-    for (const auto &Timing : Reporter.Timings)
+    for (const auto &Timing : Reporter.Timings) {
       std::fprintf(F,
                    "  {\"name\": \"%s\", \"ns_per_op\": %.1f, "
-                   "\"items_per_second\": %.0f},\n",
+                   "\"items_per_second\": %.0f",
                    Timing.Name.c_str(), Timing.NsPerOp,
                    Timing.ItemsPerSecond);
+      if (Timing.Bytes > 0)
+        std::fprintf(F, ", \"bytes\": %.0f", Timing.Bytes);
+      std::fprintf(F, "},\n");
+    }
     for (const auto &S : Speedups)
       std::fprintf(F, "  {\"name\": \"speedup/%s\", \"speedup\": %.3f},\n",
                    S.Name.c_str(), S.Speedup);
     std::fprintf(F,
                  "  {\"name\": \"meta\", \"git_sha\": \"%s\", "
-                 "\"compiler\": \"%s\", \"batch_simd\": %s, "
-                 "\"canon_simd\": %s, \"smoke\": %s}\n]\n",
+                 "\"compiler\": \"%s\", \"nproc\": %u, "
+                 "\"batch_simd\": %s, \"canon_simd\": %s, "
+                 "\"smoke\": %s}\n]\n",
                  SKS_GIT_SHA, compilerVersionString().c_str(),
+                 std::thread::hardware_concurrency(),
                  batchApplyUsesSimd() ? "true" : "false",
                  canonicalizeUsesSimd() ? "true" : "false",
                  Args.Smoke ? "true" : "false");

@@ -80,7 +80,7 @@ SearchResult detail::bestFirstSearch(const Machine &M,
   RowArena &RowStore = Store.arena(0);
   std::priority_queue<OpenEntry> Open;
   std::vector<uint32_t> Scratch;
-  std::vector<Instr> Actions;
+  std::vector<Action> Actions;
   CandidateBatch Batch;
 
   SearchState Init = initialState(M);
@@ -104,9 +104,10 @@ SearchResult detail::bestFirstSearch(const Machine &M,
 
   // Price a surviving candidate without re-traversing its rows: the
   // pipeline already computed C.Perm (exactly the PermCount projection
-  // count) and C.Needed (the max per-row distance, gathered when the
-  // viability pass had the distance table). The remaining kinds re-read
-  // the rows as before — AssignCount projects by a different mask.
+  // count) and C.Needed (the max per-row distance, read off the gate's
+  // successor-row fold when viability has the distance table). The
+  // remaining kinds re-read the rows — AssignCount projects by a
+  // different mask.
   auto CandidateF = [&](const Candidate &C, const uint32_t *CRows,
                         uint16_t CG) -> double {
     switch (Opts.Heuristic) {

@@ -206,9 +206,11 @@ bool LayeredEngine::expandLevel(unsigned G,
 
   // The budget checkpoint of every mode. Worker W publishes its batch
   // growth since its previous call and \p Work more finished units out of
-  // \p TotalWork, then checks the stop token and both memory budgets.
-  // Candidates are pre-dedup and much lighter than nodes, so MaxStates
-  // allows 2x slack but stops runaway levels before they exhaust memory.
+  // \p TotalWork, then checks the stop token and both memory budgets. The
+  // byte budget charges what the batches have written, not the capacity
+  // reserved from the branching estimate. Candidates are pre-dedup and
+  // much lighter than nodes, so MaxStates allows 2x slack but stops
+  // runaway levels before they exhaust memory.
   // \returns false when the worker must stop.
   struct Published {
     size_t Cands = 0, Bytes = 0;
@@ -252,7 +254,7 @@ bool LayeredEngine::expandLevel(unsigned G,
     Pool.parallelFor(Level.size(), [&](size_t Begin, size_t End,
                                        unsigned W) {
       CandidateBatch &B = Batches[W];
-      std::vector<Instr> Actions;
+      std::vector<Action> Actions;
       Published Last;
       for (size_t I = Begin; I != End; ++I) {
         const LNode &Node = Level[I];
@@ -269,31 +271,27 @@ bool LayeredEngine::expandLevel(unsigned G,
     // are one contiguous buffer, so the data-parallel transform (SSE, see
     // machine/BatchApply.h) runs straight over arena memory once per
     // instruction, and per-node slices come from the RowSpan handles. The
-    // action gate runs first, recording each node's admitted instructions
-    // as a bitmask over the alphabet. Work units: one gated node, one
-    // (instruction, node) visit.
+    // action gate runs first for every node; node N's admitted actions
+    // (alphabet order) land in Admitted[First[N] .. First[N + 1]), and a
+    // per-node cursor walks them as the instruction loop reaches them.
+    // Work units: one gated node, one (instruction, node) visit.
     [&] {
       CandidateBatch &B = Batches[0];
       SearchStats &S = WorkerStats[0];
-      const size_t Words = (Alphabet.size() + 63) / 64;
       const size_t TotalWork = Level.size() * (Alphabet.size() + 1);
-      std::vector<uint64_t> Admitted(Level.size() * Words);
-      std::vector<Instr> Actions;
+      std::vector<Action> Admitted;
+      std::vector<uint32_t> First(Level.size() + 1);
       Published Last;
       for (size_t N = 0; N != Level.size(); ++N) {
         const LNode &Node = Level[N];
+        First[N] = static_cast<uint32_t>(Admitted.size());
         Pipeline.gateActions(rowsOf(G, Node), Node.Rows.Len, Node.Lint,
-                             Actions, B.Scratch, S);
-        size_t K = 0;
-        for (const Instr &I : Actions) {
-          while (Alphabet[K] != I)
-            ++K;
-          Admitted[N * Words + K / 64] |= uint64_t(1) << (K % 64);
-          ++K;
-        }
+                             ChildG, Admitted, S);
         if ((N & 1023u) == 1023u && !Checkpoint(B, Last, 1024, TotalWork, 0))
           return;
       }
+      First[Level.size()] = static_cast<uint32_t>(Admitted.size());
+      std::vector<uint32_t> Cursor(First.begin(), First.end() - 1);
       std::vector<uint32_t> Transformed(Arena.size());
       size_t Visits = 0;
       for (size_t K = 0; K != Alphabet.size(); ++K) {
@@ -306,14 +304,16 @@ bool LayeredEngine::expandLevel(unsigned G,
           if ((++Visits & 1023u) == 0 &&
               !Checkpoint(B, Last, 1024, TotalWork, 0))
             return;
-          if (!((Admitted[N * Words + K / 64] >> (K % 64)) & 1u))
+          const uint32_t Next = Cursor[N];
+          if (Next == First[N + 1] || Admitted[Next].K != K)
             continue;
+          ++Cursor[N];
           const LNode &Node = Level[N];
           const uint32_t *Raw = Transformed.data() + Node.Rows.Offset;
           const size_t RawBegin = B.Rows.size();
           B.Rows.insert(B.Rows.end(), Raw, Raw + Node.Rows.Len);
           Pipeline.finish(B, RawBegin, ChildG, static_cast<uint32_t>(N), I,
-                          Node.Lint, S);
+                          Admitted[Next].Needed, Node.Lint, S);
         }
       }
     }();

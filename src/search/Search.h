@@ -159,10 +159,10 @@ struct SearchStats {
   /// Per-stage wall-clock of the expansion pipeline, in nanoseconds; only
   /// collected when SearchOptions::ProfilePipeline is on (0 otherwise).
   /// Apply covers the batched row transforms; Canon the sort + perm-count
-  /// + hash over canonical rows; Viability the fused dedup-compact +
-  /// distance pass (its distance loads dominate); Merge the dedup/DAG
-  /// commit sections. With worker threads the first three sum CPU time
-  /// across workers, so they can exceed wall-clock.
+  /// + hash over canonical rows; Viability the action gate's successor-row
+  /// fold (or, without a distance table, the erase check); Merge the
+  /// dedup/DAG commit sections. With worker threads the first three sum
+  /// CPU time across workers, so they can exceed wall-clock.
   uint64_t ApplyNanos = 0;
   uint64_t CanonNanos = 0;
   uint64_t ViabilityNanos = 0;

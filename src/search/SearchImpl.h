@@ -149,46 +149,6 @@ private:
   std::vector<unsigned> MinPerm;
 };
 
-/// Builds the (possibly filtered) list of instructions to expand from a
-/// state (section 3.2 "optimal instructions"). Moves and conditional moves
-/// are kept when they make optimal per-assignment progress on at least one
-/// row. Comparisons never lie on a shortest single-assignment program (an
-/// individual assignment is always sorted fastest by unconditional moves),
-/// so the literal per-assignment rule would discard every cmp and dead-end
-/// the search; we keep a cmp exactly when the compared register pair is
-/// still unresolved — both orders occur among the rows — which is the only
-/// situation in which its flags can discriminate inputs. \returns the
-/// number of instructions filtered out.
-inline size_t selectActions(const Machine &M, const DistanceTable *DT,
-                            bool UseActionFilter, const uint32_t *Rows,
-                            size_t Len, std::vector<Instr> &Out,
-                            std::vector<uint32_t> &Applied) {
-  const std::vector<Instr> &All = M.instructions();
-  Out.clear();
-  if (!UseActionFilter || !DT) {
-    Out = All;
-    return 0;
-  }
-  for (const Instr &I : All) {
-    if (I.Op == Opcode::Cmp) {
-      bool SeenLess = false, SeenGreater = false;
-      for (size_t R = 0; R != Len; ++R) {
-        uint32_t A = getReg(Rows[R], I.Dst), B = getReg(Rows[R], I.Src);
-        SeenLess |= A < B;
-        SeenGreater |= A > B;
-        if (SeenLess && SeenGreater)
-          break;
-      }
-      if (SeenLess && SeenGreater)
-        Out.push_back(I);
-      continue;
-    }
-    if (DT->isOptimalAction(Rows, Len, I, Applied))
-      Out.push_back(I);
-  }
-  return All.size() - Out.size();
-}
-
 SearchResult bestFirstSearch(const Machine &M, const SearchOptions &Opts,
                              const DistanceTable *DT);
 SearchResult layeredSearch(const Machine &M, const SearchOptions &Opts,

@@ -19,20 +19,55 @@
 //                have held any larger value; if S[d] < S[s] only S itself
 //                (self-loop). pmax symmetric.
 //
-// Self-loops never improve a BFS distance and are skipped.
+// Self-loops never improve a BFS distance and are skipped. Every forward
+// edge that changes a row is generated, which is why a child of an
+// unreachable row is unreachable too.
+//
+// The successor rows are filled after the BFS, instruction-major: blocks of
+// reachable rows go through the data-parallel applyBatch once per
+// instruction while the block's successor rows stay cache-resident.
 //
 //===----------------------------------------------------------------------===//
 
 #include "tables/DistanceTable.h"
 
+#include "machine/BatchApply.h"
+
+#include <algorithm>
+#include <cassert>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <emmintrin.h>
+#define SKS_TABLE_SIMD 1
+#else
+#define SKS_TABLE_SIMD 0
+#endif
+
 using namespace sks;
 
 DistanceTable::DistanceTable(const Machine &M)
-    : M(M), HasFlags(M.kind() != MachineKind::MinMax) {
+    : M(M), HasFlags(M.kind() != MachineKind::MinMax), SlotLo(4096),
+      SlotHi(4096) {
   const unsigned R = M.numRegs();
   const uint32_t NumValues = M.numValues();
-  size_t RegSpace = size_t(1) << (3 * R);
-  Dist.assign(HasFlags ? RegSpace * 3 : RegSpace, Unreachable);
+  const uint32_t FlagStates = HasFlags ? 3 : 1;
+  // Mixed-radix slot weights: register i weighs FlagStates * (n+1)^i. Each
+  // 12-bit half of the register payload (four 3-bit fields) maps through
+  // its own table; fields above n never occur in a row.
+  for (uint32_t Bits = 0; Bits != 4096; ++Bits) {
+    uint32_t Digits = 0, Weight = 1;
+    for (unsigned Reg = 0; Reg != 4; ++Reg) {
+      Digits += ((Bits >> (3 * Reg)) & 7u) * Weight;
+      Weight *= NumValues;
+    }
+    SlotLo[Bits] = FlagStates * Digits;
+    SlotHi[Bits] = FlagStates * Weight * Digits;
+  }
+  size_t Slots = FlagStates;
+  for (unsigned Reg = 0; Reg != R; ++Reg)
+    Slots *= NumValues;
+  Dist.assign(Slots, Unreachable);
 
   // Seed the BFS with every accepting assignment: goal-pinned data
   // registers read their required values, the remaining enumerated
@@ -42,6 +77,7 @@ DistanceTable::DistanceTable(const Machine &M)
   // (Hybrid machines deliberately keep the pre-existing behavior of not
   // enumerating the vector-half registers here.)
   std::vector<uint32_t> Frontier;
+  std::vector<uint32_t> Live; // Every reachable row, in BFS order.
   const unsigned NumScratch = M.numScratch();
   const unsigned N = M.numData();
   uint32_t FlagChoices[3] = {0, FlagLT, FlagGT};
@@ -71,14 +107,14 @@ DistanceTable::DistanceTable(const Machine &M)
       Frontier.push_back(Seeded);
     }
   }
-  Reachable = Frontier.size();
+  Live = Frontier;
 
   auto Visit = [&](uint32_t Pred, uint8_t D, std::vector<uint32_t> &Next) {
     uint8_t &Slot = Dist[indexOf(Pred)];
     if (Slot != Unreachable)
       return;
     Slot = D;
-    ++Reachable;
+    Live.push_back(Pred);
     Next.push_back(Pred);
   };
 
@@ -146,5 +182,80 @@ DistanceTable::DistanceTable(const Machine &M)
       }
     }
     Frontier.swap(Next);
+  }
+  Reachable = Live.size();
+
+  // Successor rows: row 0 is the shared dead row, reachable row J is row
+  // J + 1. Padding bytes keep the Unreachable fill.
+  const std::vector<Instr> &Alphabet = M.instructions();
+  Stride = (Alphabet.size() + 15) / 16 * 16;
+  assert(Stride <= kMaxStride && "alphabet outgrew the successor row bound");
+  SuccRow.assign(Slots, 0);
+  Succ.assign((Live.size() + 1) * Stride, Unreachable);
+  for (size_t J = 0; J != Live.size(); ++J)
+    SuccRow[indexOf(Live[J])] = static_cast<uint32_t>(J + 1);
+  constexpr size_t Block = 256;
+  uint32_t Applied[Block];
+  for (size_t Base = 0; Base < Live.size(); Base += Block) {
+    const size_t Count = std::min(Block, Live.size() - Base);
+    uint8_t *Rows = Succ.data() + (Base + 1) * Stride;
+    for (size_t K = 0; K != Alphabet.size(); ++K) {
+      applyBatch(M, Alphabet[K], Live.data() + Base, Applied, Count);
+      for (size_t J = 0; J != Count; ++J)
+        Rows[J * Stride + K] = Dist[indexOf(Applied[J])];
+    }
+  }
+}
+
+void DistanceTable::foldSuccessors(const uint32_t *Rows, size_t Len,
+                                   uint8_t *Max, uint8_t *Optimal) const {
+  std::memset(Max, 0, Stride);
+  if (Optimal)
+    std::memset(Optimal, 0, Stride);
+  // Rows go in blocks: gather their successor rows (and, for the action
+  // filter, the rows with 0 < dist < Unreachable and their dist - 1), then
+  // fold each 16-instruction chunk across the block.
+  constexpr size_t Block = 32;
+  const uint8_t *Succs[Block];
+  const uint8_t *Progress[Block];
+  uint8_t Target[Block];
+  for (size_t Base = 0; Base < Len; Base += Block) {
+    const size_t Count = std::min(Block, Len - Base);
+    size_t Open = 0;
+    for (size_t I = 0; I != Count; ++I) {
+      const size_t Slot = indexOf(Rows[Base + I]);
+      Succs[I] = Succ.data() + size_t(SuccRow[Slot]) * Stride;
+      const uint8_t D = Dist[Slot];
+      if (Optimal && D != 0 && D != Unreachable) {
+        Progress[Open] = Succs[I];
+        Target[Open++] = static_cast<uint8_t>(D - 1);
+      }
+    }
+    for (size_t C = 0; C < Stride; C += 16) {
+#if SKS_TABLE_SIMD
+      auto Load = [C](const uint8_t *Bytes) {
+        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(Bytes + C));
+      };
+      __m128i Acc = Load(Max);
+      for (size_t I = 0; I != Count; ++I)
+        Acc = _mm_max_epu8(Acc, Load(Succs[I]));
+      _mm_storeu_si128(reinterpret_cast<__m128i *>(Max + C), Acc);
+      if (Open == 0)
+        continue;
+      __m128i Hit = Load(Optimal);
+      for (size_t I = 0; I != Open; ++I)
+        Hit = _mm_or_si128(
+            Hit, _mm_cmpeq_epi8(Load(Progress[I]),
+                                _mm_set1_epi8(static_cast<char>(Target[I]))));
+      _mm_storeu_si128(reinterpret_cast<__m128i *>(Optimal + C), Hit);
+#else
+      for (size_t I = 0; I != Count; ++I)
+        for (size_t K = C; K != C + 16; ++K)
+          Max[K] = std::max(Max[K], Succs[I][K]);
+      for (size_t I = 0; I != Open; ++I)
+        for (size_t K = C; K != C + 16; ++K)
+          Optimal[K] |= Progress[I][K] == Target[I];
+#endif
+    }
   }
 }

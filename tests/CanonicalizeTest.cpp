@@ -9,11 +9,11 @@
 //  - canonicalizeRows (SSE2 sorting networks / radix sort) must equal the
 //    scalar std::sort + std::unique reference on arbitrary 31-bit buffers,
 //    across every dispatch band and boundary;
-//  - the fused CandidatePipeline::finish must make exactly the decisions
-//    and produce exactly the rows/hash/perm of the separate
-//    sort+unique / maxDist / countDistinctMasked / hashWords calls it
-//    replaced, over random walks of real Cmov, MinMax, and Hybrid machines
-//    at n = 3..5.
+//  - the action gate plus CandidatePipeline::finish must make exactly the
+//    decisions and produce exactly the rows/hash/perm of the scalar
+//    reference — Machine::apply, then sort+unique / maxDist /
+//    countDistinctMasked / hashWords — for every action of every node on
+//    random walks of real Cmov, MinMax, and Hybrid machines at n = 3..5.
 //
 //===----------------------------------------------------------------------===//
 
@@ -95,8 +95,11 @@ TEST(Canonicalize, SimdProbesAgreeWithBuild) {
   EXPECT_EQ(canonicalizeUsesSimd(), batchApplyUsesSimd());
 }
 
-/// One machine's random-walk equivalence check: at every step, the fused
-/// finish() must agree with the separate reference calls it replaced.
+/// One machine's random-walk equivalence check. At every step the gate
+/// decides all actions of the walk's node before applying any; each
+/// decision, and each admitted child that finish() builds, must agree with
+/// the scalar reference: apply row by row, then the separate sort+unique /
+/// maxDist / countDistinctMasked / hashWords calls.
 void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
                                  unsigned MaxLength, uint64_t Seed) {
   SCOPED_TRACE(testing::Message() << "kind=" << static_cast<int>(Kind)
@@ -115,49 +118,75 @@ void checkFusedFinishEquivalence(MachineKind Kind, unsigned N,
   std::vector<uint32_t> Rows = initialState(M).Rows;
   CandidateBatch B;
   SearchStats Stats;
+  std::vector<Action> Actions;
   PrefixLint Lint = PrefixLint::entry();
-  size_t RefPruned = 0, RefSurvived = 0;
+  size_t RefPruned = 0, RefSurvived = 0, RefLinted = 0;
+  bool ParentDead = false;
 
   for (int Step = 0; Step != 60; ++Step) {
-    Instr Via = Instrs[R.below(Instrs.size())];
-    std::vector<uint32_t> Raw(Rows.size());
-    applyBatch(M, Via, Rows.data(), Raw.data(), Rows.size());
+    const unsigned ChildG = 1 + static_cast<unsigned>(R.below(MaxLength + 2));
+    Actions.clear();
+    Pipeline.gateActions(Rows.data(), static_cast<uint32_t>(Rows.size()),
+                         Lint, ChildG, Actions, Stats);
+    size_t Next = 0;
+    std::vector<std::vector<uint32_t>> Refs(Instrs.size());
+    std::vector<uint8_t> RefNeeded(Instrs.size());
+    for (size_t K = 0; K != Instrs.size(); ++K) {
+      const Instr Via = Instrs[K];
+      std::vector<uint32_t> Raw(Rows.size());
+      for (size_t I = 0; I != Rows.size(); ++I)
+        Raw[I] = M.apply(Rows[I], Via);
+      Refs[K] = scalarReference(Raw);
+      RefNeeded[K] = DT.maxDist(Refs[K].data(), Refs[K].size());
+      const bool Admitted = Next != Actions.size() && Actions[Next].K == K;
+      if (Lint.killsPrefix(Via)) {
+        ++RefLinted;
+        ASSERT_FALSE(Admitted) << "k " << K;
+        continue;
+      }
+      const bool RefViable = RefNeeded[K] != DistanceTable::Unreachable &&
+                             ChildG + RefNeeded[K] <= Opts.MaxLength;
+      (RefViable ? RefSurvived : RefPruned) += 1;
+      ASSERT_EQ(Admitted, RefViable) << "k " << K;
+      if (!Admitted)
+        continue;
+      EXPECT_EQ(Actions[Next++].Needed, RefNeeded[K]) << "k " << K;
 
-    // Reference: the separate calls of the multipass pipeline.
-    std::vector<uint32_t> Ref = scalarReference(Raw);
-    unsigned ChildG = 1 + static_cast<unsigned>(R.below(MaxLength + 2));
-    uint8_t Needed = DT.maxDist(Ref.data(), Ref.size());
-    bool RefViable = Needed != DistanceTable::Unreachable &&
-                     ChildG + Needed <= Opts.MaxLength;
-    (RefViable ? RefSurvived : RefPruned) += 1;
-
-    // Fused pipeline on the same raw rows.
-    B.clear();
-    B.Rows = Raw;
-    bool Survived = Pipeline.finish(B, 0, ChildG, 0, Via, Lint, Stats);
-    ASSERT_EQ(Survived, RefViable);
-    if (Survived) {
+      // finish() on the admitted child's raw rows.
+      B.clear();
+      B.Rows = Raw;
+      ASSERT_TRUE(Pipeline.finish(B, 0, ChildG, 0, Via, RefNeeded[K], Lint,
+                                  Stats));
       ASSERT_EQ(B.List.size(), 1u);
       const Candidate &C = B.List.back();
+      const std::vector<uint32_t> &Ref = Refs[K];
       ASSERT_EQ(C.RowLen, Ref.size());
       EXPECT_TRUE(std::equal(Ref.begin(), Ref.end(), B.rowsOf(C)));
       EXPECT_EQ(C.Hash, hashWords(Ref.data(), Ref.size()));
+      EXPECT_EQ(C.Needed, RefNeeded[K]);
       std::vector<uint32_t> Scratch;
       EXPECT_EQ(C.Perm, countDistinctMasked(Ref.data(), Ref.size(),
                                             M.dataMask(), Scratch));
-    } else {
-      EXPECT_TRUE(B.List.empty());
-      EXPECT_TRUE(B.Rows.empty()) << "pruned candidates leave no rows";
     }
+    ASSERT_EQ(Next, Actions.size()) << "the gate admitted out of order";
 
-    // Continue the walk from the canonical child (restart when the walk
-    // collapses to a dead end so later steps keep exercising wide states).
-    Rows = std::move(Ref);
-    if (Rows.size() <= 1 || Needed == DistanceTable::Unreachable)
+    // Continue the walk from a random canonical child. A dead child is
+    // gated once (the shared all-Unreachable successor row: every action
+    // prunes) before the walk restarts; so does a collapsed one-row state,
+    // to keep later steps exercising wide states.
+    if (Rows.size() <= 1 || ParentDead) {
       Rows = initialState(M).Rows;
+      ParentDead = false;
+      continue;
+    }
+    const size_t K = R.below(Instrs.size());
+    Rows = Refs[K];
+    ParentDead = RefNeeded[K] == DistanceTable::Unreachable;
   }
   EXPECT_EQ(Stats.ViabilityPruned, RefPruned);
   EXPECT_EQ(Stats.StatesGenerated, RefPruned + RefSurvived);
+  EXPECT_EQ(Stats.SyntacticPruned, RefLinted);
+  EXPECT_GT(RefPruned, 0u);
 }
 
 TEST(Canonicalize, FusedFinishMatchesSeparateCallsCmov) {
@@ -203,7 +232,7 @@ TEST(Canonicalize, SingleRowFastPath) {
   B.Rows.push_back(Row);
   SearchStats Stats;
   ASSERT_TRUE(Pipeline.finish(B, 0, 1, 0, M.instructions().front(),
-                              PrefixLint::entry(), Stats));
+                              DT.dist(Row), PrefixLint::entry(), Stats));
   ASSERT_EQ(B.List.size(), 1u);
   EXPECT_EQ(B.List[0].RowLen, 1u);
   EXPECT_EQ(B.List[0].Perm, 1u);

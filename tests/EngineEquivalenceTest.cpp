@@ -115,6 +115,10 @@ TEST(EngineEquivalence, CmovN3AllModesAgreeOn5602Solutions) {
       1, 7, 36, 225, 1213, 6432, 26828, 110995, 389945, 995165, 74019, 2166};
   EXPECT_EQ(Baseline.Stats.LevelStates, kLevelStates);
   EXPECT_GT(Baseline.Stats.SyntacticPruned, 0u);
+  // The action gate decides viability before apply; a gate-pruned action
+  // still counts once as generated and once as viability-pruned.
+  EXPECT_EQ(Baseline.Stats.StatesGenerated, 56947350u);
+  EXPECT_EQ(Baseline.Stats.ViabilityPruned, 50222433u);
   std::set<std::string> Reference;
   for (const Mode &Mo : kModes) {
     SearchResult R = findAllN3(Mo);
